@@ -98,9 +98,12 @@ def _point_arg(text: str) -> dict:
             point[var] = as_fraction(raw.strip())
         except (ValueError, TypeError):
             try:
-                point[var] = float(raw)
+                value = float(raw)
             except ValueError:
                 raise argparse.ArgumentTypeError(f"bad value for {name}: {raw!r}")
+            if not math.isfinite(value):
+                raise argparse.ArgumentTypeError(f"{name} must be finite, got {raw!r}")
+            point[var] = value
     return point
 
 
@@ -116,6 +119,21 @@ def _gt1_rational_arg(text: str) -> Fraction:
     if value <= 1:
         raise argparse.ArgumentTypeError(f"must be greater than 1, got {value}")
     return value
+
+
+def _int_at_least(lowest: int):
+    """argparse type for an integer >= lowest."""
+
+    def parse_int(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    return parse_int
 
 
 def _positive_float_arg(text: str) -> float:
@@ -499,9 +517,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_gt1_rational_arg, required=True)
     p.add_argument("--s", type=_positive_rational_arg, required=True)
     p.add_argument("--lambda", dest="lam", type=_positive_rational_arg, required=True)
-    p.add_argument("--degree-cap", type=int, default=6)
+    p.add_argument("--degree-cap", type=_int_at_least(0), default=6)
     p.add_argument("--epsilon-grid", type=_grid_arg, default=(Fraction(1, 2), Fraction(1, 10)))
-    p.add_argument("--budget", type=int, default=401, help="quadrature nodes per variable")
+    p.add_argument("--budget", type=_int_at_least(1), default=401,
+                   help="quadrature nodes per variable")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("sharpness-probe", _cmd_sharpness_probe,
@@ -510,9 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_gt1_rational_arg, required=True)
     p.add_argument("--s", type=_positive_rational_arg, required=True)
     p.add_argument("--lambda", dest="lam", type=_positive_rational_arg, required=True)
-    p.add_argument("--degree-cap", type=int, default=6)
+    p.add_argument("--degree-cap", type=_int_at_least(0), default=6)
     p.add_argument("--epsilon-grid", type=_grid_arg, default=(Fraction(1, 2), Fraction(1, 10)))
-    p.add_argument("--budget", type=int, default=401)
+    p.add_argument("--budget", type=_int_at_least(1), default=401)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("convolution-check", _cmd_convolution_check,
@@ -542,9 +561,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --json-out: {exc}", file=sys.stderr)
+            return 2
+    sys.stdout.write(text)
     print(summary, file=sys.stderr)
     return _EXIT_BY_VERDICT[report["verdict"]]

@@ -14,6 +14,12 @@ Convention: column j of a matrix holds the coefficients of the operator
 applied to basis monomial j, so composition is matrix product and
 applying a matrix to a coefficient vector agrees with the symbolic
 operator.
+
+Storage is by sparse columns: column j keeps only the nonzero entries of
+that image, so the Laplacian costs at most m entries per column rather
+than d.  The exact exponential runs the Taylor sum one column at a time
+and costs the nonzeros times the Taylor terms; only the scipy float
+route works on dense d x d arrays.
 """
 
 from __future__ import annotations
@@ -108,54 +114,98 @@ def graded_basis(m: int, n: int) -> GradedBasis:
     return GradedBasis(m, n, tuple(monomials), index)
 
 
+def _combine(columns, coeffs: dict) -> dict:
+    """Sparse linear combination sum_k coeffs[k] * columns[k], zeros dropped.
+
+    With `columns` the columns of A this is A applied to the sparse vector
+    `coeffs`, so column j of A*B is _combine(A.columns, B.columns[j]).
+    """
+    out = {}
+    for k, b in coeffs.items():
+        for i, a in columns[k].items():
+            out[i] = out.get(i, _F0) + a * b
+    return {i: x for i, x in out.items() if x}
+
+
+def _add_into(acc: dict, vec: dict) -> None:
+    """acc += vec in place, dropping entries that cancel."""
+    for i, x in vec.items():
+        y = acc.get(i, _F0) + x
+        if y:
+            acc[i] = y
+        else:
+            del acc[i]
+
+
+def _sparse_vector(basis: GradedBasis, f: Polynomial) -> dict:
+    """{basis index: nonzero coefficient} of f; f must fit inside the basis."""
+    return {basis.index_of(alpha): c for alpha, c in f.items()}
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Exact square matrix over a GradedBasis; entries[i][j] is row i, column j."""
+    """Exact square matrix over a GradedBasis, stored by sparse columns.
+
+    columns[j] is a {row index: nonzero Fraction} dict holding the image of
+    basis monomial j; zeros are never stored, and the dicts are not mutated
+    after construction.  Every operation costs the stored nonzeros, not d^2.
+    """
 
     basis: GradedBasis
-    entries: tuple
+    columns: tuple
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.columns)
+
+    @property
+    def entries(self) -> tuple:
+        """Dense read-only view: entries[i][j] is row i, column j."""
+        d = self.size
+        rows = [[_F0] * d for _ in range(d)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                rows[i][j] = x
+        return tuple(tuple(row) for row in rows)
 
     def float_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries], dtype=float)
+        d = self.size
+        out = np.zeros((d, d))
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                out[i, j] = float(x)
+        return out
 
     def apply(self, vector) -> tuple:
         """Matrix-vector product on an exact coefficient vector."""
-        out = []
-        for row in self.entries:
-            acc = _F0
-            for a, v in zip(row, vector):
-                if a and v:
-                    acc += a * v
-            out.append(acc)
-        return tuple(out)
+        image = _combine(self.columns, {k: v for k, v in enumerate(vector) if v})
+        return tuple(image.get(i, _F0) for i in range(self.size))
 
     def apply_poly(self, f: Polynomial) -> Polynomial:
         return self.basis.poly_of(self.apply(self.basis.vector_of(f)))
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
+        col = self.columns[j]
+        return tuple(col.get(i, _F0) for i in range(self.size))
 
     def scaled(self, c) -> "OperatorMatrix":
         c = as_fraction(c)
+        if not c:
+            return OperatorMatrix(self.basis, tuple({} for _ in self.columns))
         return OperatorMatrix(
-            self.basis, tuple(tuple(c * x for x in row) for row in self.entries)
+            self.basis, tuple({i: c * x for i, x in col.items()} for col in self.columns)
         )
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
         self._same_basis(other)
-        return OperatorMatrix(
-            self.basis,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        columns = []
+        for a, b in zip(self.columns, other.columns):
+            col = dict(a)
+            _add_into(col, b)
+            columns.append(col)
+        return OperatorMatrix(self.basis, tuple(columns))
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if not isinstance(other, OperatorMatrix):
@@ -165,24 +215,12 @@ class OperatorMatrix:
     def matmul(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Exact matrix product: the matrix of (self after other)."""
         self._same_basis(other)
-        d = self.size
-        b = other.entries
-        rows = []
-        for i in range(d):
-            arow = self.entries[i]
-            out = [_F0] * d
-            for k in range(d):
-                aik = arow[k]
-                if aik:
-                    brow = b[k]
-                    for j in range(d):
-                        if brow[j]:
-                            out[j] += aik * brow[j]
-            rows.append(tuple(out))
-        return OperatorMatrix(self.basis, tuple(rows))
+        return OperatorMatrix(
+            self.basis, tuple(_combine(self.columns, col) for col in other.columns)
+        )
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(self.columns)
 
     def _same_basis(self, other: "OperatorMatrix"):
         if self.basis is not other.basis and self.basis != other.basis:
@@ -190,10 +228,7 @@ class OperatorMatrix:
 
 
 def identity_matrix(basis: GradedBasis) -> OperatorMatrix:
-    d = basis.size
-    return OperatorMatrix(
-        basis, tuple(tuple(_F1 if i == j else _F0 for j in range(d)) for i in range(d))
-    )
+    return OperatorMatrix(basis, tuple({j: _F1} for j in range(basis.size)))
 
 
 def diagonal_matrix(basis: GradedBasis, diagonal) -> OperatorMatrix:
@@ -201,22 +236,15 @@ def diagonal_matrix(basis: GradedBasis, diagonal) -> OperatorMatrix:
     if len(diagonal) != basis.size:
         raise ValueError("diagonal length does not match the basis size")
     return OperatorMatrix(
-        basis,
-        tuple(
-            tuple(diagonal[i] if i == j else _F0 for j in range(basis.size))
-            for i in range(basis.size)
-        ),
+        basis, tuple({j: x} if x else {} for j, x in enumerate(diagonal))
     )
 
 
 def _matrix_of(op, basis: GradedBasis) -> OperatorMatrix:
-    d = basis.size
-    rows = [[_F0] * d for _ in range(d)]
-    for j, alpha in enumerate(basis.monomials):
-        image = op(Polynomial.monomial(alpha))
-        for beta, c in image.items():
-            rows[basis.index_of(beta)][j] = c
-    return OperatorMatrix(basis, tuple(tuple(row) for row in rows))
+    return OperatorMatrix(
+        basis,
+        tuple(_sparse_vector(basis, op(Polynomial.monomial(alpha))) for alpha in basis.monomials),
+    )
 
 
 def laplacian_matrix(basis: GradedBasis) -> OperatorMatrix:
@@ -249,12 +277,22 @@ def operator_matrix(which: str, basis: GradedBasis, s=None) -> OperatorMatrix:
 
 
 def _strictly_triangular(mat: OperatorMatrix) -> bool:
-    entries = mat.entries
-    d = mat.size
-    upper = all(not entries[i][j] for i in range(d) for j in range(d) if i >= j)
-    if upper:
+    columns = mat.columns
+    if all(i < j for j, col in enumerate(columns) for i in col):
         return True
-    return all(not entries[i][j] for i in range(d) for j in range(d) if i <= j)
+    return all(i > j for j, col in enumerate(columns) for i in col)
+
+
+def _exp_column(columns, j: int) -> dict:
+    """Column j of e^A for nilpotent A: sum of v_k = A v_{k-1} / k from v_0 = e_j."""
+    term = {j: _F1}
+    total = dict(term)
+    k = 1
+    while term:
+        term = _combine(columns, {i: x / k for i, x in term.items()})
+        _add_into(total, term)
+        k += 1
+    return total
 
 
 def expm(matrix, mode: str = "float"):
@@ -262,7 +300,8 @@ def expm(matrix, mode: str = "float"):
 
     mode='exact-nilpotent' takes an OperatorMatrix that is strictly
     triangular (hence nilpotent, e.g. any scaled Laplacian matrix) and
-    returns the exact terminating Taylor sum.  mode='float' takes an
+    returns the exact terminating Taylor sum, column by column, at the
+    cost of the nonzeros times the Taylor terms.  mode='float' takes an
     OperatorMatrix or float array and returns scipy's scaling-and-
     squaring result as an ndarray.
     """
@@ -273,15 +312,10 @@ def expm(matrix, mode: str = "float"):
             raise ValueError(
                 "exact-nilpotent mode requires a strictly triangular matrix"
             )
-        result = identity_matrix(matrix.basis)
-        term = identity_matrix(matrix.basis)
-        k = 1
-        while True:
-            term = term.matmul(matrix).scaled(Fraction(1, k))
-            if term.is_zero():
-                return result
-            result = result + term
-            k += 1
+        columns = matrix.columns
+        return OperatorMatrix(
+            matrix.basis, tuple(_exp_column(columns, j) for j in range(matrix.size))
+        )
     if mode == "float":
         array = matrix.float_array() if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, dtype=float)
         return scipy.linalg.expm(array)
@@ -378,8 +412,8 @@ def bch_check(s, lam, basis: GradedBasis, tol: float = 1e-10) -> BchReport:
     exact_ok = True
     witness = None
     for j, alpha in enumerate(basis.monomials):
-        expected = basis.vector_of(hermite_semigroup(Polynomial.monomial(alpha), s, lam))
-        if factored.column(j) != expected:
+        expected = _sparse_vector(basis, hermite_semigroup(Polynomial.monomial(alpha), s, lam))
+        if factored.columns[j] != expected:
             exact_ok = False
             witness = str(alpha)
             break

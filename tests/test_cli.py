@@ -179,6 +179,24 @@ class TestHypercontractivityScan:
         assert any(not r["contractive"] for r in report["results"])
 
 
+@pytest.mark.parametrize("command", ["hypercontractivity-scan", "sharpness-probe"])
+class TestBatteryArguments:
+    BASE = ("--p", "2", "--q", "4", "--s", "1", "--lambda", "1/2")
+
+    def test_negative_degree_cap_rejected(self, capsys, command):
+        code, report, err = run_cli(capsys, command, *self.BASE, "--degree-cap", "-1")
+        assert code == 2
+        assert report is None
+        assert "at least 0" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_rejected(self, capsys, command, budget):
+        code, report, err = run_cli(capsys, command, *self.BASE, f"--budget={budget}")
+        assert code == 2
+        assert report is None
+        assert "at least 1" in err
+
+
 class TestSharpnessProbe:
     def test_witness_found_when_condition_fails(self, capsys):
         code, report, _ = run_cli(
@@ -252,6 +270,14 @@ class TestConvolutionCheck:
         code, _, _ = run_cli(capsys, "convolution-check", "--f", "x1", "--t", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_point_rejected(self, capsys, value):
+        code = main(["convolution-check", "--f", "x1^2", "--t", "1", "--x", f"x1={value}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "finite" in captured.err
+        assert "NaN" not in captured.out and "Infinity" not in captured.out
+
 
 class TestPlumbing:
     def test_unknown_subcommand(self, capsys):
@@ -277,6 +303,17 @@ class TestPlumbing:
         code, report, _ = run_cli(capsys, "hermite", "--alpha", "2", "--s", "1")
         assert code == 0
         assert json.loads(target.read_text()) == report
+
+    def test_unwritable_json_out_is_a_bad_invocation(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, report, err = run_cli(
+            capsys, "hermite", "--alpha", "2", "--s", "1", "--json-out", str(target)
+        )
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not target.exists()
 
     def test_reports_are_sorted_and_newline_terminated(self, capsys):
         main(["apply-heat", "--f", "x1", "--t", "1"])

@@ -5,9 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import gausscalc.matrixrep
+import gausscalc.semigroups
 from gausscalc.matrixrep import (
     DIMENSION_CAP,
     BchReport,
+    OperatorMatrix,
     bch_check,
     diagonal_matrix,
     euler_matrix,
@@ -30,6 +33,49 @@ def _random_poly_in_basis(rng, basis, max_terms=5):
         alpha = rng.choice(basis.monomials)
         terms[alpha] = F(rng.randint(-9, 9), rng.randint(1, 4))
     return Polynomial(terms.items())
+
+
+def _dense(mat):
+    """Nested lists of the entries, after checking that no stored entry is zero."""
+    assert all(x for col in mat.columns for x in col.values())
+    return [list(row) for row in mat.entries]
+
+
+def _dense_matmul(a, b):
+    d = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(d) if a[i][k]), F(0)) for j in range(d)]
+            for i in range(d)]
+
+
+def _dense_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _dense_scaled(a, c):
+    return [[c * x for x in row] for row in a]
+
+
+def _dense_expm_nilpotent(a):
+    """Terminating Taylor sum I + A + A^2/2! + ... on nested lists."""
+    d = len(a)
+    term = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    total = term
+    k = 1
+    while True:
+        term = _dense_scaled(_dense_matmul(term, a), F(1, k))
+        if not any(x for row in term for x in row):
+            return total
+        total = _dense_add(total, term)
+        k += 1
+
+
+def _transpose(mat):
+    """The transpose, built through the sparse column constructor."""
+    columns = [{} for _ in range(mat.size)]
+    for j, col in enumerate(mat.columns):
+        for i, x in col.items():
+            columns[i][j] = x
+    return OperatorMatrix(mat.basis, tuple(columns))
 
 
 class TestGradedBasis:
@@ -230,6 +276,75 @@ class TestExpm:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             expm(np.zeros((2, 2)), mode="pade")
+
+
+class TestDenseOracle:
+    """The sparse columns agree exactly with a nested-list reference."""
+
+    BASES = [(1, 5), (2, 4), (3, 3), (2, 6)]
+
+    @staticmethod
+    def _nilpotents(m, n):
+        basis = graded_basis(m, n)
+        upper = laplacian_matrix(basis).scaled(F(-5, 3) / 2)
+        return basis, [upper, _transpose(upper)]
+
+    @pytest.mark.parametrize("m,n", BASES)
+    def test_transpose_is_strictly_lower(self, m, n):
+        _, (upper, lower) = self._nilpotents(m, n)
+        dense = _dense(lower)
+        assert dense == [list(col) for col in zip(*_dense(upper))]
+        assert all(not dense[i][j] for i in range(lower.size) for j in range(i, lower.size))
+
+    @pytest.mark.parametrize("m,n", BASES)
+    def test_product_sum_and_scaling(self, m, n):
+        basis, nilpotents = self._nilpotents(m, n)
+        one = identity_matrix(basis)
+        # (I + L)(I - L) = I - L^2 cancels inside every column of the product.
+        mats = nilpotents + [number_op_matrix(basis, F(3, 2)), one + nilpotents[0],
+                             one - nilpotents[0]]
+        for a in mats:
+            for b in mats + [euler_matrix(basis)]:
+                assert _dense(a.matmul(b)) == _dense_matmul(_dense(a), _dense(b))
+                assert _dense(a + b) == _dense_add(_dense(a), _dense(b))
+                assert _dense(a - b) == _dense_add(_dense(a), _dense_scaled(_dense(b), F(-1)))
+            assert _dense(a.scaled(F(-7, 4))) == _dense_scaled(_dense(a), F(-7, 4))
+            assert (a - a).is_zero()
+            assert _dense(a - a) == _dense(a.scaled(0))
+
+    @pytest.mark.parametrize("m,n", BASES)
+    def test_terminating_taylor_sum(self, m, n):
+        _, nilpotents = self._nilpotents(m, n)
+        for a in nilpotents:
+            assert _dense(expm(a, mode="exact-nilpotent")) == _dense_expm_nilpotent(_dense(a))
+
+    @pytest.mark.parametrize("m,n", BASES)
+    def test_float_array_and_apply(self, m, n):
+        rng = random.Random(137)
+        basis, nilpotents = self._nilpotents(m, n)
+        for a in nilpotents:
+            assert np.array_equal(a.float_array(), np.array(_dense(a), dtype=float))
+            vector = basis.vector_of(_random_poly_in_basis(rng, basis))
+            dense = _dense(a)
+            expected = tuple(sum((r * v for r, v in zip(row, vector)), F(0)) for row in dense)
+            assert a.apply(vector) == expected
+            assert all(a.column(j) == tuple(row[j] for row in dense) for j in range(a.size))
+
+
+def test_exact_expm_never_calls_the_semigroups(monkeypatch):
+    """The matrix route stays independent of heat and hermite_semigroup."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exact-nilpotent expm called a semigroups flow")
+
+    for module in (gausscalc.semigroups, gausscalc.matrixrep):
+        for name in ("heat", "hermite_semigroup"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    basis = graded_basis(2, 6)
+    lap = laplacian_matrix(basis).scaled(F(3, 4))
+    for a in (lap, _transpose(lap)):
+        flow = expm(a, mode="exact-nilpotent")
+        assert not flow.is_zero()
 
 
 class TestBchCheck:
