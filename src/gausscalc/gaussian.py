@@ -258,10 +258,13 @@ def lp_norm(
     Other p >= 1: quadrature at the budgeted node count (default 401 per
     variable) plus a Monte Carlo cross-check whose 3-sigma standard
     error, pushed through the p-th root, is the reported bound.
+    A budget, when given, must be at least 1.
     """
     p = float(p)
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"the node budget must be at least 1, got {budget}")
     s = variance_of(s)
     if f.degree <= 0:
         value = abs(float(f.constant_term()))
@@ -273,14 +276,14 @@ def lp_norm(
     if even:
         k = int(p)
         needed = (k * degree) // 2 + 1
-        nodes = max(budget or 0, needed)
+        nodes = needed if budget is None else max(budget, needed)
         mean = expectation_quadrature(
             lambda point: f.evaluate(point) ** k, variables, s, nodes
         )
         mean = max(mean, 0.0)
         return LpEstimate(mean ** (1.0 / p), 0.0, "quadrature", nodes ** len(variables))
 
-    nodes = budget or 401
+    nodes = 401 if budget is None else budget
     mean = expectation_quadrature(
         lambda point: np.abs(f.evaluate(point)) ** p, variables, s, nodes
     )

@@ -17,6 +17,7 @@ exactly.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 from numbers import Rational
@@ -97,6 +98,15 @@ class MultiIndex:
         self._degree = sum(e for _, e in pairs)
 
     @classmethod
+    def _from_entries(cls, entries: tuple, degree: int) -> "MultiIndex":
+        # Trusted path: `entries` must already be a tuple of (var, exp)
+        # pairs with increasing var >= 1 and exp >= 1 summing to `degree`.
+        self = object.__new__(cls)
+        self._entries = entries
+        self._degree = degree
+        return self
+
+    @classmethod
     def single(cls, var: int, exp: int = 1) -> "MultiIndex":
         return cls(((var, exp),))
 
@@ -122,7 +132,7 @@ class MultiIndex:
         """alpha! = product of the factorials of the exponents."""
         out = 1
         for _, e in self._entries:
-            out *= _factorial(e)
+            out *= math.factorial(e)
         return out
 
     def __mul__(self, other: "MultiIndex") -> "MultiIndex":
@@ -179,10 +189,6 @@ class MultiIndex:
             f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in self._entries
         )
 
-
-_factorial = functools.lru_cache(maxsize=None)(
-    lambda n: 1 if n < 2 else n * _factorial(n - 1)
-)
 
 _ZERO_DEGREE = float("-inf")
 

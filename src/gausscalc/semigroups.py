@@ -21,7 +21,6 @@ lam^{|alpha|}, exactly, polynomial by polynomial.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,15 +38,21 @@ _F1 = Fraction(1)
 
 def laplacian(f: Polynomial) -> Polynomial:
     """Sum of second partials over every active variable of f."""
-    pairs = []
+    out = {}
     for alpha, c in f.items():
-        for var, e in alpha.entries:
+        entries = alpha.entries
+        for i, (var, e) in enumerate(entries):
             if e >= 2:
-                lowered = {v: x for v, x in alpha.entries if v != var}
-                if e > 2:
-                    lowered[var] = e - 2
-                pairs.append((MultiIndex(lowered), c * e * (e - 1)))
-    return Polynomial(pairs)
+                rest = entries[i + 1 :]
+                lowered = entries[:i] + (((var, e - 2),) + rest if e > 2 else rest)
+                out[lowered] = out.get(lowered, 0) + c * e * (e - 1)
+    return Polynomial._make(
+        {
+            MultiIndex._from_entries(lowered, sum(e for _, e in lowered)): c
+            for lowered, c in out.items()
+            if c
+        }
+    )
 
 
 def euler_d(f: Polynomial) -> Polynomial:
@@ -66,23 +71,36 @@ def heat(f: Polynomial, t) -> Polynomial:
     """e^{t Delta / 2} f as the terminating series sum_k (t/2)^k Delta^k f / k!.
 
     The series stops once the iterated Laplacian hits zero, which takes
-    at most deg(f)/2 + 1 steps, so t of either sign (backward heat
-    included) is fine and the result is exact.
+    at most K = deg(f) // 2 steps, so t of either sign (backward heat
+    included) is fine and the result is exact.  The sum runs in
+    integers: with f = g / D for an integer polynomial g and t/2 = p/q,
+    term k is Delta^k g times p^k q^(K-k) K!/k!, and each coefficient of
+    the sum is divided once by D q^K K!.
     """
     t = as_fraction(t)
     if t == 0 or f.is_zero:
         return f
     half = t / 2
-    acc = f
-    term = f
+    p, q = half.numerator, half.denominator
+    big_d = math.lcm(*(c.denominator for _, c in f.items()))
+    # g and its Laplacians hold int coefficients; they never leave heat.
+    term = Polynomial._make({a: c.numerator * (big_d // c.denominator) for a, c in f.items()})
+    top = int(f.degree) // 2
+    weight = q**top * math.factorial(top)
+    denominator = big_d * weight
+    acc = {a: c * weight for a, c in term.items()}
     k = 1
     while True:
         term = laplacian(term)
         if term.is_zero:
-            return acc
-        term = term * (half / k)
-        acc = acc + term
+            break
+        weight = weight * p // (q * k)
+        for a, c in term.items():
+            acc[a] = acc.get(a, 0) + c * weight
         k += 1
+    return Polynomial._make(
+        {a: Fraction(c, denominator) for a, c in acc.items() if c}
+    )
 
 
 def dilate(f: Polynomial, lam) -> Polynomial:
@@ -113,11 +131,6 @@ def dilate(f: Polynomial, lam) -> Polynomial:
 # -- Hermite polynomials and expansions -------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _hermite_cached(alpha: MultiIndex, s: Fraction) -> Polynomial:
-    return heat(Polynomial.monomial(alpha), -s)
-
-
 def hermite(alpha, s) -> Polynomial:
     """h_{alpha,s} = backward heat flow out of the monomial x^alpha.
 
@@ -126,9 +139,7 @@ def hermite(alpha, s) -> Polynomial:
     defined for any rational s (it is pure algebra); the measure-level
     statements need s > 0.
     """
-    if not isinstance(alpha, MultiIndex):
-        alpha = MultiIndex(alpha)
-    return _hermite_cached(alpha, as_fraction(s))
+    return heat(Polynomial.monomial(alpha), -as_fraction(s))
 
 
 @dataclass(frozen=True, eq=True)
@@ -150,11 +161,12 @@ class HermiteExpansion:
         return len(self.coeffs)
 
     def resum(self) -> Polynomial:
-        """Reassemble sum c_alpha h_{alpha,s}; inverts hermite_expand exactly."""
-        out = Polynomial.zero()
-        for alpha, c in self.coeffs.items():
-            out = out + c * hermite(alpha, self.base_variance)
-        return out
+        """Reassemble sum c_alpha h_{alpha,s}; inverts hermite_expand exactly.
+
+        By linearity this is backward heat by s applied to the polynomial
+        whose monomial coefficients are the c_alpha.
+        """
+        return heat(Polynomial._make(dict(self.coeffs)), -self.base_variance)
 
     def weighted_norm_squared(self, variance) -> Fraction:
         """sum c_alpha^2 alpha! v^{|alpha|}: the L^2(mu_v) squared norm of
@@ -186,16 +198,15 @@ def hermite_semigroup(f: Polynomial, s, lam) -> Polynomial:
     This is the operator with eigenvalue lam^{|alpha|} on h_{alpha,s}
     (lam = e^{-tau}); lam in (0,1] is the contractive regime, lam > 1
     runs it backwards, which is still well defined on polynomials.
+    Forward heat by s maps each h_{alpha,s} to x^alpha, dilation scales
+    x^alpha by lam^{|alpha|}, and backward heat by s maps it back, so the
+    operator is heat(dilate(heat(f, s), lam), -s).
     """
     s = variance_of(s)
     lam = as_fraction(lam)
     if lam <= 0:
         raise ValueError(f"the semigroup scale must be positive, got {lam}")
-    expansion = hermite_expand(f, s)
-    out = Polynomial.zero()
-    for alpha, c in expansion.items():
-        out = out + (c * lam**alpha.degree) * hermite(alpha, s)
-    return out
+    return heat(dilate(heat(f, s), lam), -s)
 
 
 # -- the (s, t, lambda, tau) bookkeeping ------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -120,6 +121,13 @@ class TestHermiteCommand:
     def test_negative_exponent_rejected(self, capsys):
         code, _, err = run_cli(capsys, "hermite", "--alpha", "2,-1", "--s", "1")
         assert code == 2
+
+    def test_high_degree_norm(self, capsys):
+        code, report, _ = run_cli(capsys, "hermite", "--alpha", "600", "--s", "1")
+        assert code == 0
+        record = report["results"][0]
+        assert record["degree"] == 600
+        assert record["norm_squared"] == str(math.factorial(600))
 
 
 class TestApplyHeat:

@@ -247,6 +247,18 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(parse("x1"), 0.5, 1)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_budget_below_one_rejected(self, p):
+        f = parse("x1^2 + x2")
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="budget"):
+                lp_norm(f, p, 1, budget=budget)
+
+    def test_budget_none_means_default(self):
+        f = parse("x1^2 - 1")
+        assert lp_norm(f, 4, 1, budget=None).samples_or_nodes == (4 * 2) // 2 + 1
+        assert lp_norm(f, 3, 1, budget=None).samples_or_nodes == 401
+
     def test_budget_over_cap_rejected(self):
         f = parse("x1 x2 x3 x4 x5")
         with pytest.raises(ValueError, match="cap"):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -34,6 +35,10 @@ class TestMultiIndex:
     def test_factorial(self):
         assert MultiIndex({1: 3, 2: 2}).factorial() == 12
         assert MultiIndex().factorial() == 1
+
+    def test_factorial_of_a_large_exponent(self):
+        assert MultiIndex({1: 3000}).factorial() == math.factorial(3000)
+        assert MultiIndex({2: 600, 5: 2}).factorial() == math.factorial(600) * 2
 
     def test_validation(self):
         with pytest.raises(ValueError):

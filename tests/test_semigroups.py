@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import gausscalc.semigroups
 import helpers
 from gausscalc.gaussian import inner_product
 from gausscalc.poly import MultiIndex, Polynomial, parse
@@ -27,6 +28,155 @@ from gausscalc.semigroups import (
 )
 
 F = Fraction
+
+
+# -- test-only oracles: Fraction series and per-basis resums the core must match
+
+
+def _laplacian_oracle(f):
+    """The Laplacian through the validating MultiIndex/Polynomial constructors."""
+    pairs = []
+    for alpha, c in f.items():
+        for var, e in alpha.entries:
+            if e >= 2:
+                lowered = dict(alpha.entries)
+                lowered[var] = e - 2
+                pairs.append((MultiIndex(lowered), c * e * (e - 1)))
+    return Polynomial(pairs)
+
+
+def _heat_oracle(f, t):
+    """The repeated-Laplacian series sum_k (t/2)^k Delta^k f / k! in Fractions."""
+    half = F(t) / 2
+    acc = term = f
+    k = 1
+    while True:
+        term = _laplacian_oracle(term)
+        if term.is_zero:
+            return acc
+        term = term * (half / k)
+        acc = acc + term
+        k += 1
+
+
+def _hermite_oracle(alpha, s):
+    return _heat_oracle(Polynomial.monomial(alpha), -F(s))
+
+
+def _semigroup_oracle(f, s, lam):
+    """sum_alpha c_alpha lam^{|alpha|} h_{alpha,s}, resummed basis element by element."""
+    out = Polynomial.zero()
+    for alpha, c in _heat_oracle(f, s).items():
+        out = out + (c * F(lam) ** alpha.degree) * _hermite_oracle(alpha, s)
+    return out
+
+
+def _assert_canonical(g):
+    """Every stored coefficient is a nonzero Fraction on a well-formed multi-index."""
+    for alpha, c in g.items():
+        assert isinstance(c, Fraction) and c != 0
+        assert all(v >= 1 and e >= 1 for v, e in alpha.entries)
+        assert [v for v, _ in alpha.entries] == sorted({v for v, _ in alpha.entries})
+        assert alpha.degree == sum(e for _, e in alpha.entries)
+        rebuilt = MultiIndex(dict(alpha.entries))
+        assert rebuilt == alpha and hash(rebuilt) == hash(alpha)
+
+
+def _mixed_denominator_polynomial(rng):
+    pairs = []
+    for _ in range(rng.randint(1, 8)):
+        den = rng.choice([1, 2, 3, 7, 12, 10**9 + 7, 2**61 - 1])
+        num = rng.randint(-(10**12), 10**12)
+        pairs.append((helpers.random_multi_index(rng, 4, 10), F(num, den)))
+    return Polynomial(pairs)
+
+
+_ORACLE_TIMES = [F(3), F(-1, 2), F(-7, 3), F(2, 9), F(123456789, 987654323), F(-1, 10**12 + 39)]
+
+
+class TestOperatorCoreOracles:
+    def test_laplacian_matches_the_validating_route(self):
+        rng = random.Random(101)
+        for _ in range(60):
+            f = _mixed_denominator_polynomial(rng)
+            g = laplacian(f)
+            assert g == _laplacian_oracle(f)
+            _assert_canonical(g)
+
+    def test_laplacian_drops_cancelled_terms(self):
+        g = laplacian(parse("x1^2 - x2^2"))
+        assert g.is_zero and len(g) == 0
+        g = laplacian(parse("x1^3 x2^2 - 3 x1 x2^4 + x3"))
+        assert g == parse("6 x1 x2^2 + 2 x1^3 - 36 x1 x2^2")
+        _assert_canonical(g)
+        assert g.coefficient({1: 1, 2: 2}) == -30
+
+    def test_heat_matches_the_fraction_series(self):
+        rng = random.Random(103)
+        for _ in range(40):
+            f = _mixed_denominator_polynomial(rng)
+            for t in _ORACLE_TIMES:
+                g = heat(f, t)
+                assert g == _heat_oracle(f, t)
+                _assert_canonical(g)
+        for _ in range(100):
+            f = helpers.random_polynomial(rng, max_degree=12)
+            t = F(rng.randint(-9, 9), rng.randint(1, 12))
+            assert heat(f, t) == _heat_oracle(f, t)
+
+    def test_heat_cancellations_leave_no_zero_terms(self):
+        t = F(5, 3)
+        g = heat(parse("x1^2 + x2^2") - 2 * t, t)
+        assert g == parse("x1^2 + x2^2")
+        _assert_canonical(g)
+        for alpha in ({1: 4}, {1: 3, 2: 2}, {2: 6}):
+            g = heat(hermite(alpha, t), t)
+            assert g == Polynomial.monomial(alpha)
+            _assert_canonical(g)
+        assert heat(Polynomial.zero(), t).is_zero
+
+    def test_heat_runs_through_the_module_laplacian(self, monkeypatch):
+        calls = []
+        original = gausscalc.semigroups.laplacian
+
+        def counting(f):
+            calls.append(len(f))
+            return original(f)
+
+        monkeypatch.setattr(gausscalc.semigroups, "laplacian", counting)
+        flowed = heat(parse("x1^4 - x1 x2^2 + 3"), F(2))
+        assert flowed == parse("x1^4 - x1 x2^2 + 12 x1^2 - 2 x1 + 15")
+        assert len(calls) == 3
+
+    def test_hermite_matches_the_fraction_series(self):
+        for alpha in ({}, {1: 1}, {1: 7}, {1: 2, 3: 5}, {2: 4, 4: 4}):
+            for s in (F(1), F(3, 2), F(-2, 7)):
+                assert hermite(alpha, s) == _hermite_oracle(alpha, s)
+
+    def test_semigroup_matches_the_per_basis_resum(self):
+        rng = random.Random(109)
+        for _ in range(20):
+            f = helpers.random_polynomial(rng, max_degree=10)
+            for s in (F(1), F(3, 2), F(4)):
+                for lam in (F(1, 2), F(2, 3), F(3, 2)):
+                    assert hermite_semigroup(f, s, lam) == _semigroup_oracle(f, s, lam)
+
+    def test_semigroup_matches_the_per_basis_resum_at_large_denominators(self):
+        rng = random.Random(113)
+        lam = F(2**40 + 1, 3**25)
+        for _ in range(10):
+            f = _mixed_denominator_polynomial(rng)
+            assert hermite_semigroup(f, F(7, 5), lam) == _semigroup_oracle(f, F(7, 5), lam)
+
+    def test_resum_matches_the_per_basis_sum(self):
+        rng = random.Random(127)
+        for _ in range(20):
+            f = helpers.random_polynomial(rng, max_degree=10)
+            expansion = hermite_expand(f, F(5, 4))
+            oracle = Polynomial.zero()
+            for alpha, c in expansion.items():
+                oracle = oracle + c * _hermite_oracle(alpha, F(5, 4))
+            assert expansion.resum() == oracle == f
 
 
 class TestFirstOrderOperators:
