@@ -340,37 +340,30 @@ def _contraction_records(p, q, s, lam, degree_cap, epsilon_grid, budget, seed):
     return records, violation
 
 
-def _cmd_hypercontractivity_scan(args):
-    s = variance_of(args.s)
-    lam = args.lam
-    if not 0 < lam <= 1:
-        raise ValueError(f"need a scale in (0, 1], got {lam}")
-    t = s * (1 - lam * lam)
-    condition_holds = (args.q - 1) * lam * lam <= (args.p - 1)
-    records, violation = _contraction_records(
-        args.p, args.q, s, lam, args.degree_cap, args.epsilon_grid, args.budget, args.seed
+def _classify(command, condition_holds, witness, count, degree_cap):
+    """(verdict, summary) of a battery scan.
+
+    hypercontractivity-scan passes when every battery function contracts.
+    sharpness-probe asks the same where the condition holds; where it
+    fails, a witness of expansion is the expected outcome and passes, and
+    finding none is inconclusive.
+    """
+    if command == "hypercontractivity-scan":
+        if witness is None:
+            return "pass", f"pass: {count} functions, all contractive"
+        return "fail", f"fail: contraction violated by {witness}"
+    if condition_holds:
+        if witness is None:
+            return "pass", "pass: condition holds and every battery function contracts"
+        return "fail", f"fail: condition holds but {witness} expands"
+    if witness is not None:
+        return "pass", f"pass: condition fails and {witness} witnesses the expansion"
+    return "inconclusive", (
+        f"inconclusive: condition fails but no violation found up to degree {degree_cap}"
     )
-    params = {
-        "p": _rat(args.p),
-        "q": _rat(args.q),
-        "s": _rat(s),
-        "lambda": _rat(lam),
-        "t": _rat(t),
-        "degree_cap": args.degree_cap,
-        "epsilon_grid": [_rat(e) for e in args.epsilon_grid],
-        "budget": args.budget,
-        "condition_holds": condition_holds,
-    }
-    verdict = "pass" if violation is None else "fail"
-    summary = (
-        f"{verdict}: {len(records)} functions, all contractive"
-        if violation is None
-        else f"{verdict}: contraction violated by {records[violation]['f']}"
-    )
-    return _report("hypercontractivity-scan", params, records, verdict, seed=args.seed), summary
 
 
-def _cmd_sharpness_probe(args):
+def _cmd_contraction(args):
     s = variance_of(args.s)
     lam = args.lam
     if not 0 < lam <= 1:
@@ -392,28 +385,13 @@ def _cmd_sharpness_probe(args):
         "budget": args.budget,
         "condition_holds": condition_holds,
     }
-    if condition_holds:
-        verdict = "pass" if violation is None else "fail"
-        summary = (
-            f"{verdict}: condition holds and every battery function contracts"
-            if violation is None
-            else f"{verdict}: condition holds but {records[violation]['f']} expands"
-        )
-        witness = None if violation is None else records[violation]["f"]
-    else:
-        if violation is not None:
-            verdict = "pass"
-            witness = records[violation]["f"]
-            summary = f"pass: condition fails and {witness} witnesses the expansion"
-        else:
-            verdict = "inconclusive"
-            witness = None
-            summary = (
-                f"inconclusive: condition fails but no violation found up to "
-                f"degree {args.degree_cap}"
-            )
-    params["witness"] = witness
-    return _report("sharpness-probe", params, records, verdict, seed=args.seed), summary
+    witness = None if violation is None else records[violation]["f"]
+    verdict, summary = _classify(
+        args.command, condition_holds, witness, len(records), args.degree_cap
+    )
+    if args.command == "sharpness-probe":
+        params["witness"] = witness
+    return _report(args.command, params, records, verdict, seed=args.seed), summary
 
 
 def _cmd_convolution_check(args):
@@ -511,28 +489,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=_rational_arg, default=Fraction(1, 2))
 
-    p = add("hypercontractivity-scan", _cmd_hypercontractivity_scan,
-            "norm contraction over the documented battery")
-    p.add_argument("--p", type=_gt1_rational_arg, required=True)
-    p.add_argument("--q", type=_gt1_rational_arg, required=True)
-    p.add_argument("--s", type=_positive_rational_arg, required=True)
-    p.add_argument("--lambda", dest="lam", type=_positive_rational_arg, required=True)
-    p.add_argument("--degree-cap", type=_int_at_least(0), default=6)
-    p.add_argument("--epsilon-grid", type=_grid_arg, default=(Fraction(1, 2), Fraction(1, 10)))
-    p.add_argument("--budget", type=_int_at_least(1), default=401,
-                   help="quadrature nodes per variable")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("sharpness-probe", _cmd_sharpness_probe,
-            "classify (p,q,s,t) and hunt for an expansion witness when allowed")
-    p.add_argument("--p", type=_gt1_rational_arg, required=True)
-    p.add_argument("--q", type=_gt1_rational_arg, required=True)
-    p.add_argument("--s", type=_positive_rational_arg, required=True)
-    p.add_argument("--lambda", dest="lam", type=_positive_rational_arg, required=True)
-    p.add_argument("--degree-cap", type=_int_at_least(0), default=6)
-    p.add_argument("--epsilon-grid", type=_grid_arg, default=(Fraction(1, 2), Fraction(1, 10)))
-    p.add_argument("--budget", type=_int_at_least(1), default=401)
-    p.add_argument("--seed", type=int, default=0)
+    for name, help_text in (
+        ("hypercontractivity-scan", "norm contraction over the documented battery"),
+        ("sharpness-probe",
+         "classify (p,q,s,t) and hunt for an expansion witness when allowed"),
+    ):
+        p = add(name, _cmd_contraction, help_text)
+        p.add_argument("--p", type=_gt1_rational_arg, required=True)
+        p.add_argument("--q", type=_gt1_rational_arg, required=True)
+        p.add_argument("--s", type=_positive_rational_arg, required=True)
+        p.add_argument("--lambda", dest="lam", type=_positive_rational_arg, required=True)
+        p.add_argument("--degree-cap", type=_int_at_least(0), default=6)
+        p.add_argument("--epsilon-grid", type=_grid_arg,
+                       default=(Fraction(1, 2), Fraction(1, 10)))
+        p.add_argument("--budget", type=_int_at_least(1), default=401,
+                       help="quadrature nodes per variable")
+        p.add_argument("--seed", type=int, default=0)
 
     p = add("convolution-check", _cmd_convolution_check,
             "heat kernel integration vs the series, at one point")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .poly import MultiIndex, Polynomial, as_fraction
 
@@ -155,6 +154,8 @@ def gauss_hermite_rule(n: int):
     Golub-Welsch: eigenvalues of the symmetric tridiagonal Jacobi matrix
     of the probabilists' Hermite recurrence (off-diagonal sqrt(k)), with
     weights the squared first components of the normalized eigenvectors.
+    The Jacobi matrix is held dense and solved by numpy's eigh, so a rule
+    costs O(n^3) time and O(n^2) memory, once per n and process.
     The returned arrays are read-only.
     """
     if n < 1:
@@ -164,7 +165,7 @@ def gauss_hermite_rule(n: int):
         weights = np.ones(1)
     else:
         off_diag = np.sqrt(np.arange(1, n, dtype=float))
-        nodes, vectors = eigh_tridiagonal(np.zeros(n), off_diag)
+        nodes, vectors = np.linalg.eigh(np.diag(off_diag, 1) + np.diag(off_diag, -1))
         weights = vectors[0] ** 2
         weights /= weights.sum()  # constants must integrate to exactly 1
     nodes.flags.writeable = False
@@ -258,13 +259,16 @@ def lp_norm(
     Other p >= 1: quadrature at the budgeted node count (default 401 per
     variable) plus a Monte Carlo cross-check whose 3-sigma standard
     error, pushed through the p-th root, is the reported bound.
-    A budget, when given, must be at least 1.
+    A budget, when given, must be at least 1, and mc_samples at least 2
+    (a standard error needs two samples).
     """
     p = float(p)
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if budget is not None and budget < 1:
         raise ValueError(f"the node budget must be at least 1, got {budget}")
+    if mc_samples < 2:
+        raise ValueError(f"need at least 2 Monte Carlo samples, got {mc_samples}")
     s = variance_of(s)
     if f.degree <= 0:
         value = abs(float(f.constant_term()))

@@ -18,8 +18,9 @@ operator.
 Storage is by sparse columns: column j keeps only the nonzero entries of
 that image, so the Laplacian costs at most m entries per column rather
 than d.  The exact exponential runs the Taylor sum one column at a time
-and costs the nonzeros times the Taylor terms; only the scipy float
-route works on dense d x d arrays.
+and costs the nonzeros times the Taylor terms; only the float route
+works on dense d x d arrays, with a numpy scaling-and-squaring Pade
+exponential that short-cuts diagonal and strictly triangular input.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .gaussian import variance_of
 from .poly import MultiIndex, Polynomial, as_fraction
@@ -295,6 +295,67 @@ def _exp_column(columns, j: int) -> dict:
     return total
 
 
+#: Pade [13/13] coefficients b_0..b_13 of e^x (Higham 2005), divided by b_0
+#: so that the zero matrix maps to exactly the identity.
+_PADE13 = tuple(
+    b / 64764752532480000
+    for b in (
+        64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+        129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+        40840800, 960960, 16380, 182, 1,
+    )
+)
+#: Largest 2^-s scaled eta for which the degree-13 Pade approximant meets
+#: double precision (Al-Mohy and Higham 2009).
+_THETA13 = 4.25
+
+
+def _onenorm(a: np.ndarray) -> float:
+    return float(np.abs(a).sum(axis=0).max())
+
+
+def _expm_nilpotent_float(a: np.ndarray) -> np.ndarray:
+    """Terminating Taylor sum of a strictly triangular float matrix."""
+    term = np.eye(a.shape[0])
+    total = term.copy()
+    for k in range(1, a.shape[0] + 1):
+        term = (term @ a) / k
+        if not term.any():
+            break
+        total += term
+    return total
+
+
+def _expm_pade13(a: np.ndarray) -> np.ndarray:
+    """Scaling and squaring with the degree-13 Pade approximant.
+
+    The scaling s is the least one with 2^-s max(||A^6||^(1/6), ||A^8||^(1/8))
+    <= theta_13, the 1-norms taken exactly; for a nonnormal matrix such as
+    a triangular one with a large off-diagonal part these powers shrink far
+    below ||A||, so fewer squarings are needed than ||A|| alone would ask.
+    """
+    c = _PADE13
+    b2 = a @ a
+    b4 = b2 @ b2
+    b6 = b4 @ b2
+    eta = max(_onenorm(b6) ** (1 / 6), _onenorm(b4 @ b4) ** (1 / 8))
+    s = max(0, math.ceil(math.log2(eta / _THETA13))) if eta > 0 else 0
+    b = a * 2.0**-s
+    b2 *= 4.0**-s
+    b4 *= 16.0**-s
+    b6 *= 64.0**-s
+    diagonal = np.diag_indices_from(a)
+    inner = b6 @ (c[13] * b6 + c[11] * b4 + c[9] * b2) + c[7] * b6 + c[5] * b4 + c[3] * b2
+    inner[diagonal] += c[1]
+    u = b @ inner
+    v = b6 @ (c[12] * b6 + c[10] * b4 + c[8] * b2) + c[6] * b6 + c[4] * b4 + c[2] * b2
+    v[diagonal] += c[0]
+    x = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        x = x @ x
+    return x
+
+
 def expm(matrix, mode: str = "float"):
     """Matrix exponential.
 
@@ -302,8 +363,12 @@ def expm(matrix, mode: str = "float"):
     triangular (hence nilpotent, e.g. any scaled Laplacian matrix) and
     returns the exact terminating Taylor sum, column by column, at the
     cost of the nonzeros times the Taylor terms.  mode='float' takes an
-    OperatorMatrix or float array and returns scipy's scaling-and-
-    squaring result as an ndarray.
+    OperatorMatrix or square float array and returns an ndarray: the
+    entrywise exponential of the diagonal for a diagonal input, the
+    terminating Taylor sum for a strictly triangular one, and otherwise
+    scaling and squaring with the degree-13 Pade approximant (Higham 2005),
+    its scaling chosen from ||A^6||^(1/6) and ||A^8||^(1/8) (Al-Mohy and
+    Higham 2009).  The zero matrix maps to exactly the identity.
     """
     if mode == "exact-nilpotent":
         if not isinstance(matrix, OperatorMatrix):
@@ -317,8 +382,14 @@ def expm(matrix, mode: str = "float"):
             matrix.basis, tuple(_exp_column(columns, j) for j in range(matrix.size))
         )
     if mode == "float":
-        array = matrix.float_array() if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, dtype=float)
-        return scipy.linalg.expm(array)
+        a = matrix.float_array() if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expm needs a square matrix, got shape {a.shape}")
+        if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+            return np.diag(np.exp(np.diagonal(a)))
+        if not np.tril(a).any() or not np.triu(a).any():
+            return _expm_nilpotent_float(a)
+        return _expm_pade13(a)
     raise ValueError(f"unknown expm mode {mode!r}")
 
 
@@ -329,10 +400,12 @@ class BchReport:
     With A = s*Laplacian and B = -Euler the bracket is [A, B] = -2A, so
     e^{tau(A+B)} factors as e^{tau B} e^{c A} with c = (e^{-2 tau}-1)/(-2);
     equivalently e^{-tau N_s} = e^{-tau D} e^{(t/2) Laplacian} with
-    t = s(1 - lam^2).  Float routes use scipy expm on both sides; the
-    exact route multiplies the diagonal factor (entries lam^{|alpha|})
-    into the terminating Laplacian exponential and compares column by
-    column with the Hermite-coefficient decay operator.
+    t = s(1 - lam^2).  The float routes use the numpy expm on both sides:
+    Pade for the triangular left-hand sides, the diagonal and nilpotent
+    short cuts for the factors on the right.  The exact route multiplies
+    the diagonal factor (entries lam^{|alpha|}) into the terminating
+    Laplacian exponential and compares column by column with the
+    Hermite-coefficient decay operator.
     """
 
     m: int

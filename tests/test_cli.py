@@ -372,3 +372,32 @@ class TestSubprocessEntry:
         report = json.loads(proc.stdout)
         assert report["verdict"] == "pass"
         assert "pass" in proc.stderr
+
+
+class TestImportFloor:
+    """scipy is not a dependency: no command may pull it in."""
+
+    LEAKED = "sorted(k for k in sys.modules if k.startswith('scipy'))"
+
+    def _leaked(self, code):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_import_cli(self):
+        assert self._leaked(f"import json, sys, gausscalc.cli; print(json.dumps({self.LEAKED}))") == []
+
+    def test_module_run_of_hermite(self):
+        code = (
+            "import json, runpy, sys\n"
+            "sys.argv = ['gausscalc', 'hermite', '--alpha', '2', '--s', '1']\n"
+            "try:\n"
+            "    runpy.run_module('gausscalc', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            f"print(json.dumps({self.LEAKED}))\n"
+        )
+        assert self._leaked(code) == []

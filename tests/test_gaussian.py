@@ -131,6 +131,15 @@ class TestQuadratureRule:
             scale = max(1.0, float(np.max(np.abs(x))) ** k)
             assert abs(numeric - exact) <= 1e-14 * scale
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20])
+    def test_even_moments_are_double_factorials(self, n):
+        # Exact through degree 2n-1: E[x^2k] = (2k-1)!! for 2k <= 2n-1.  The
+        # summands are all positive, so the tolerance is relative: 100 ulps.
+        x, w = gauss_hermite_rule(n)
+        for k in range(n):
+            exact = math.prod(range(1, 2 * k, 2))
+            assert abs(float(np.dot(w, x ** (2 * k))) - exact) <= 100 * 2.0**-52 * exact
+
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
             gauss_hermite_rule(0)
@@ -253,6 +262,16 @@ class TestLpNorm:
         for budget in (0, -5):
             with pytest.raises(ValueError, match="budget"):
                 lp_norm(f, p, 1, budget=budget)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_fewer_than_two_monte_carlo_samples_rejected(self, p):
+        # One sample has no standard error: the bound used to come out nan.
+        f = parse("x1^2 + x2")
+        for samples in (1, 0, -4):
+            with pytest.raises(ValueError, match="Monte Carlo samples"):
+                lp_norm(f, p, 1, budget=11, mc_samples=samples)
+        estimate = lp_norm(f, 3, 1, budget=11, mc_samples=2)
+        assert math.isfinite(estimate.abs_error_bound)
 
     def test_budget_none_means_default(self):
         f = parse("x1^2 - 1")

@@ -278,6 +278,81 @@ class TestExpm:
             expm(np.zeros((2, 2)), mode="pade")
 
 
+def _rel_err(approx, exact):
+    return float(np.max(np.abs(approx - exact)) / np.max(np.abs(exact)))
+
+
+class TestFloatExpm:
+    """The numpy float exponential against exact rational references."""
+
+    @staticmethod
+    def _branches(monkeypatch):
+        """Record which float expm branch each call takes; none recorded is diagonal."""
+        taken = []
+        for name in ("_expm_nilpotent_float", "_expm_pade13"):
+            real = getattr(gausscalc.matrixrep, name)
+
+            def spy(a, real=real, name=name):
+                taken.append(name)
+                return real(a)
+
+            monkeypatch.setattr(gausscalc.matrixrep, name, spy)
+        return taken
+
+    @pytest.mark.parametrize("m,n", [(1, 30), (2, 12), (3, 6)])
+    @pytest.mark.parametrize("s", [F(1), F(4)])
+    @pytest.mark.parametrize("lam", [F(1, 2), F(1, 10), F(1, 1000)])
+    def test_matches_the_exact_factorization(self, monkeypatch, m, n, s, lam):
+        # e^{-tau N_s} = diag(lam^|alpha|) e^{(t/2) Laplacian}, t = s(1 - lam^2):
+        # each of the three float exponentials against its exact counterpart.
+        basis = graded_basis(m, n)
+        lap, eul = laplacian_matrix(basis), euler_matrix(basis)
+        t, tau = s * (1 - lam * lam), -math.log(float(lam))
+        heat_exact = expm(lap.scaled(t / 2), mode="exact-nilpotent")
+        decay = diagonal_matrix(basis, [lam**alpha.degree for alpha in basis.monomials])
+        taken = self._branches(monkeypatch)
+
+        general = expm(-tau * number_op_matrix(basis, s).float_array())
+        assert _rel_err(general, decay.matmul(heat_exact).float_array()) <= 1e-13
+        nilpotent = expm((float(t) / 2) * lap.float_array())
+        assert _rel_err(nilpotent, heat_exact.float_array()) <= 1e-13
+        diagonal = expm(-tau * eul.float_array())
+        assert _rel_err(diagonal, decay.float_array()) <= 1e-13
+        assert taken == ["_expm_pade13", "_expm_nilpotent_float"]
+
+    def test_strictly_lower_input_takes_the_taylor_sum(self, monkeypatch):
+        basis = graded_basis(2, 6)
+        heat_exact = expm(laplacian_matrix(basis).scaled(F(3, 4)), mode="exact-nilpotent")
+        taken = self._branches(monkeypatch)
+        lower = expm(0.75 * laplacian_matrix(basis).float_array().T)
+        assert _rel_err(lower, heat_exact.float_array().T) <= 1e-13
+        assert taken == ["_expm_nilpotent_float"]
+
+    def test_full_matrices_need_squaring(self, monkeypatch):
+        taken = self._branches(monkeypatch)
+        theta = 10.0
+        rotation = expm(np.array([[0.0, -theta], [theta, 0.0]]))
+        cos, sin = math.cos(theta), math.sin(theta)
+        expected = np.array([[cos, -sin], [sin, cos]])
+        assert np.max(np.abs(rotation - expected)) <= 1e-13
+        rng = np.random.default_rng(5)
+        sym = rng.normal(size=(6, 6)) * 2.0
+        sym = sym + sym.T
+        values, vectors = np.linalg.eigh(sym)
+        assert _rel_err(expm(sym), (vectors * np.exp(values)) @ vectors.T) <= 1e-13
+        assert taken == ["_expm_pade13", "_expm_pade13"]
+
+    def test_pade_is_exact_at_zero_and_on_a_full_nilpotent(self):
+        pade = gausscalc.matrixrep._expm_pade13
+        assert np.array_equal(pade(np.zeros((4, 4))), np.eye(4))
+        nil = np.array([[1.0, 1.0], [-1.0, -1.0]])  # nil @ nil = 0, neither triangle empty
+        assert np.max(np.abs(expm(nil) - (np.eye(2) + nil))) <= 1e-15
+
+    def test_rejects_non_square_input(self):
+        with pytest.raises(ValueError, match="square"):
+            expm(np.zeros((2, 3)))
+
+
 class TestDenseOracle:
     """The sparse columns agree exactly with a nested-list reference."""
 
@@ -379,6 +454,15 @@ class TestBchCheck:
                 report = bch_check(s, lam, graded_basis(2, 4), tol=1e-10)
                 assert report.ok, (s, lam)
                 assert report.t == s * (1 - lam * lam)
+
+    @pytest.mark.parametrize("m,n,s,lam", [(2, 12, F(4), F(1, 10)), (1, 30, F(2), F(2, 3)),
+                                           (1, 30, F(4), F(1, 1000)), (3, 5, F(3, 2), F(3, 5))])
+    def test_float_gaps_stay_at_double_precision(self, m, n, s, lam):
+        # Float round-off in the exponentials once reached 5e-7 on (1, 30),
+        # failing the factorization at the default tolerance.
+        report = bch_check(s, lam, graded_basis(m, n))
+        assert report.ok
+        assert max(report.bch_rel_err, report.bch2_rel_err) <= 1e-13
 
     def test_exact_route_matches_hermite_decay_by_hand(self):
         s, lam = F(2), F(1, 3)
