@@ -30,14 +30,10 @@ from .matrixrep import (
     GradedBasis,
     OperatorMatrix,
     bch_check,
-    diagonal_matrix,
     euler_matrix,
     expm,
     graded_basis,
-    identity_matrix,
     laplacian_matrix,
-    number_op_matrix,
-    operator_matrix,
 )
 from .poly import (
     MultiIndex,
@@ -90,7 +86,6 @@ __all__ = [
     "as_fraction",
     "bch_check",
     "char_check",
-    "diagonal_matrix",
     "dilate",
     "euler_d",
     "euler_matrix",
@@ -104,7 +99,6 @@ __all__ = [
     "hermite",
     "hermite_expand",
     "hermite_semigroup",
-    "identity_matrix",
     "inner_product",
     "l2_contraction_ratio",
     "laplacian",
@@ -112,8 +106,6 @@ __all__ = [
     "lp_norm",
     "nonclosability_example",
     "number_op",
-    "number_op_matrix",
-    "operator_matrix",
     "parse",
     "serialize",
     "variance_of",

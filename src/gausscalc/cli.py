@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .gaussian import char_check, inner_product, lp_norm, variance_of
+from .gaussian import inner_product, lp_norm, variance_of
 from .matrixrep import bch_check, graded_basis
 from .poly import MultiIndex, Polynomial, PolyParseError, as_fraction, parse, serialize
 from .semigroups import (
@@ -24,7 +24,6 @@ from .semigroups import (
     heat,
     heat_convolution_oracle,
     hermite,
-    hermite_semigroup,
     l2_contraction_ratio,
     laplacian,
     nonclosability_example,
@@ -141,8 +140,8 @@ def _positive_float_arg(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 

@@ -147,6 +147,11 @@ def inner_product(f: Polynomial, g: Polynomial, s) -> Fraction:
     return total
 
 
+# Largest array the quadrature layer materializes: a tensor-quadrature
+# block, or the dense Jacobi matrix of one Gauss-Hermite rule.
+_QUAD_BLOCK_LIMIT = 1 << 22
+
+
 @functools.lru_cache(maxsize=128)
 def gauss_hermite_rule(n: int):
     """Nodes and weights for the standard normal, exact through degree 2n-1.
@@ -155,11 +160,18 @@ def gauss_hermite_rule(n: int):
     of the probabilists' Hermite recurrence (off-diagonal sqrt(k)), with
     weights the squared first components of the normalized eigenvectors.
     The Jacobi matrix is held dense and solved by numpy's eigh, so a rule
-    costs O(n^3) time and O(n^2) memory, once per n and process.
+    costs O(n^3) time and O(n^2) memory, once per n and process; an n
+    with n^2 above _QUAD_BLOCK_LIMIT (n > 2048) is refused.
     The returned arrays are read-only.
     """
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
+    if n * n > _QUAD_BLOCK_LIMIT:
+        raise ValueError(
+            f"a {n}-node rule needs a dense {n}x{n} Jacobi matrix, above the "
+            f"{_QUAD_BLOCK_LIMIT}-entry limit on one array (at most "
+            f"{math.isqrt(_QUAD_BLOCK_LIMIT)} nodes)"
+        )
     if n == 1:
         nodes = np.zeros(1)
         weights = np.ones(1)
@@ -171,10 +183,6 @@ def gauss_hermite_rule(n: int):
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
-
-
-# Largest intermediate array materialized during tensor quadrature.
-_QUAD_BLOCK_LIMIT = 1 << 22
 
 
 def expectation_quadrature(integrand, variables, s, nodes_per_var: int) -> float:

@@ -12,8 +12,7 @@ no terminating expansion.
 
 Convention: column j of a matrix holds the coefficients of the operator
 applied to basis monomial j, so composition is matrix product and
-applying a matrix to a coefficient vector agrees with the symbolic
-operator.
+apply_poly agrees with the symbolic operator.
 
 Storage is by sparse columns: column j keeps only the nonzero entries of
 that image, so the Laplacian costs at most m entries per column rather
@@ -21,6 +20,10 @@ than d.  The exact exponential runs the Taylor sum one column at a time
 and costs the nonzeros times the Taylor terms; only the float route
 works on dense d x d arrays, with a numpy scaling-and-squaring Pade
 exponential that short-cuts diagonal and strictly triangular input.
+
+bch_check builds each float exponential once: the shared left-hand side
+e^{-tau N_s} (Pade), the shared decay factor e^{-tau D} (diagonal), and
+one Laplacian factor per identity (two Taylor sums), four in all.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from .gaussian import variance_of
 from .poly import MultiIndex, Polynomial, as_fraction
-from .semigroups import euler_d, hermite_semigroup, laplacian, number_op
+from .semigroups import euler_d, hermite_semigroup, laplacian
 
 #: Largest basis dimension C(m+n, n) this module will materialize.
 DIMENSION_CAP = 5000
@@ -70,21 +73,6 @@ class GradedBasis:
             return self._index[alpha]
         except KeyError:
             raise ValueError(f"monomial {alpha} is outside the basis") from None
-
-    def vector_of(self, f: Polynomial) -> tuple:
-        """Coefficient vector of f on this basis; f must fit inside it."""
-        out = [_F0] * len(self.monomials)
-        for alpha, c in f.items():
-            out[self.index_of(alpha)] = c
-        return tuple(out)
-
-    def poly_of(self, vector) -> Polynomial:
-        terms = {}
-        for alpha, c in zip(self.monomials, vector):
-            c = as_fraction(c)
-            if c:
-                terms[alpha] = c
-        return Polynomial._make(terms)
 
 
 def graded_basis(m: int, n: int) -> GradedBasis:
@@ -158,16 +146,6 @@ class OperatorMatrix:
     def size(self) -> int:
         return len(self.columns)
 
-    @property
-    def entries(self) -> tuple:
-        """Dense read-only view: entries[i][j] is row i, column j."""
-        d = self.size
-        rows = [[_F0] * d for _ in range(d)]
-        for j, col in enumerate(self.columns):
-            for i, x in col.items():
-                rows[i][j] = x
-        return tuple(tuple(row) for row in rows)
-
     def float_array(self) -> np.ndarray:
         d = self.size
         out = np.zeros((d, d))
@@ -176,13 +154,11 @@ class OperatorMatrix:
                 out[i, j] = float(x)
         return out
 
-    def apply(self, vector) -> tuple:
-        """Matrix-vector product on an exact coefficient vector."""
-        image = _combine(self.columns, {k: v for k, v in enumerate(vector) if v})
-        return tuple(image.get(i, _F0) for i in range(self.size))
-
     def apply_poly(self, f: Polynomial) -> Polynomial:
-        return self.basis.poly_of(self.apply(self.basis.vector_of(f)))
+        """The matrix applied to f; f must fit inside the basis."""
+        monomials = self.basis.monomials
+        image = _combine(self.columns, _sparse_vector(self.basis, f))
+        return Polynomial._make({monomials[i]: x for i, x in image.items()})
 
     def column(self, j: int) -> tuple:
         col = self.columns[j]
@@ -195,49 +171,6 @@ class OperatorMatrix:
         return OperatorMatrix(
             self.basis, tuple({i: c * x for i, x in col.items()} for col in self.columns)
         )
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        self._same_basis(other)
-        columns = []
-        for a, b in zip(self.columns, other.columns):
-            col = dict(a)
-            _add_into(col, b)
-            columns.append(col)
-        return OperatorMatrix(self.basis, tuple(columns))
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        return self + other.scaled(-1)
-
-    def matmul(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """Exact matrix product: the matrix of (self after other)."""
-        self._same_basis(other)
-        return OperatorMatrix(
-            self.basis, tuple(_combine(self.columns, col) for col in other.columns)
-        )
-
-    def is_zero(self) -> bool:
-        return not any(self.columns)
-
-    def _same_basis(self, other: "OperatorMatrix"):
-        if self.basis is not other.basis and self.basis != other.basis:
-            raise ValueError("matrices live on different bases")
-
-
-def identity_matrix(basis: GradedBasis) -> OperatorMatrix:
-    return OperatorMatrix(basis, tuple({j: _F1} for j in range(basis.size)))
-
-
-def diagonal_matrix(basis: GradedBasis, diagonal) -> OperatorMatrix:
-    diagonal = [as_fraction(x) for x in diagonal]
-    if len(diagonal) != basis.size:
-        raise ValueError("diagonal length does not match the basis size")
-    return OperatorMatrix(
-        basis, tuple({j: x} if x else {} for j, x in enumerate(diagonal))
-    )
 
 
 def _matrix_of(op, basis: GradedBasis) -> OperatorMatrix:
@@ -255,25 +188,6 @@ def laplacian_matrix(basis: GradedBasis) -> OperatorMatrix:
 def euler_matrix(basis: GradedBasis) -> OperatorMatrix:
     """Diagonal with entries |alpha|."""
     return _matrix_of(euler_d, basis)
-
-
-def number_op_matrix(basis: GradedBasis, s) -> OperatorMatrix:
-    """Euler minus s times Laplacian; upper triangular with diagonal |alpha|."""
-    s = as_fraction(s)
-    return _matrix_of(lambda f: number_op(f, s), basis)
-
-
-def operator_matrix(which: str, basis: GradedBasis, s=None) -> OperatorMatrix:
-    """Dispatch by name: 'laplacian', 'euler_d', or 'number_op' (needs s)."""
-    if which == "laplacian":
-        return laplacian_matrix(basis)
-    if which == "euler_d":
-        return euler_matrix(basis)
-    if which == "number_op":
-        if s is None:
-            raise ValueError("number_op needs the variance s")
-        return number_op_matrix(basis, s)
-    raise ValueError(f"unknown operator {which!r}")
 
 
 def _strictly_triangular(mat: OperatorMatrix) -> bool:
@@ -400,11 +314,14 @@ class BchReport:
     With A = s*Laplacian and B = -Euler the bracket is [A, B] = -2A, so
     e^{tau(A+B)} factors as e^{tau B} e^{c A} with c = (e^{-2 tau}-1)/(-2);
     equivalently e^{-tau N_s} = e^{-tau D} e^{(t/2) Laplacian} with
-    t = s(1 - lam^2).  The float routes use the numpy expm on both sides:
-    Pade for the triangular left-hand sides, the diagonal and nilpotent
-    short cuts for the factors on the right.  The exact route multiplies
-    the diagonal factor (entries lam^{|alpha|}) into the terminating
-    Laplacian exponential and compares column by column with the
+    t = s(1 - lam^2).  Since A + B = -N_s and e^{tau B} = e^{-tau D}, both
+    float identities share one left-hand side and one decay factor, so the
+    float route takes four numpy expm calls: Pade for the triangular
+    left-hand side, the diagonal short cut for e^{-tau D}, and the
+    nilpotent Taylor sum for e^{cA} in (i) and e^{(t/2) Laplacian} in (ii).
+    bch_rel_err and bch2_rel_err are the gaps of (i) and (ii).  The exact
+    route scales row i of the terminating Laplacian exponential by
+    lam^{|alpha_i|} and compares column by column with the
     Hermite-coefficient decay operator.
     """
 
@@ -434,12 +351,16 @@ def _rel_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
 def bch_check(s, lam, basis: GradedBasis, tol: float = 1e-10) -> BchReport:
     """Verify the noncommutative exponential factorization on a graded basis.
 
-    Compares, entrywise in floats to `tol`: (i) e^{tau(A+B)} against
-    e^{tau B} e^{((e^{-2 tau}-1)/(-2)) A}; (ii) e^{-tau N_s} against
-    e^{-tau D} e^{(t/2) Laplacian}; plus the scalar identity
-    -(e^{-2 tau}-1)/2 = t/(2s).  Then checks exactly, in rationals, that
-    the diagonal-times-nilpotent factorization applied to every basis
-    monomial reproduces hermite_semigroup of that monomial.
+    With A = s*Laplacian and B = -Euler, the left-hand side
+    e^{tau(A+B)} = e^{-tau N_s} and the factor e^{tau B} = e^{-tau D} are
+    each exponentiated once.  Compares, entrywise in floats to `tol`, that
+    left-hand side against (i) e^{-tau D} e^{c A} with
+    c = (e^{-2 tau}-1)/(-2) from the bracket [A, B] = -2A, and
+    (ii) e^{-tau D} e^{(t/2) Laplacian} with the exact t; plus the scalar
+    identity -(e^{-2 tau}-1)/2 = t/(2s).  Then checks exactly, in
+    rationals, that the diagonal-times-nilpotent factorization applied to
+    every basis monomial reproduces hermite_semigroup of that monomial,
+    and names the first monomial where it does not.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -452,41 +373,37 @@ def bch_check(s, lam, basis: GradedBasis, tol: float = 1e-10) -> BchReport:
     tau = -math.log(float(lam))
 
     lap = laplacian_matrix(basis)
-    eul = euler_matrix(basis)
-    n_mat = eul - lap.scaled(s)
-
     lap_f = lap.float_array()
-    eul_f = eul.float_array()
+    eul_f = euler_matrix(basis).float_array()
     s_f = float(s)
-    t_f = float(t)
 
-    # (i) A = s*Laplacian, B = -Euler, [A, B] = -2A.
-    a_f = s_f * lap_f
-    b_f = -eul_f
+    # Both float identities share e^{tau(A+B)} = e^{-tau N_s} and e^{-tau D},
+    # with A = s*Laplacian, B = -Euler: A + B = -N_s and e^{tau B} = e^{-tau D}.
+    lhs = expm(tau * (s_f * lap_f - eul_f))
+    decay_f = expm(-tau * eul_f)
+
+    # (i) [A, B] = -2A gives the coefficient c of A from the bracket alone.
     coeff = (math.exp(-2.0 * tau) - 1.0) / (-2.0)
-    lhs1 = expm(tau * (a_f + b_f))
-    rhs1 = expm(tau * b_f) @ expm(coeff * a_f)
-    bch_rel_err = _rel_gap(lhs1, rhs1)
+    bch_rel_err = _rel_gap(lhs, decay_f @ expm((coeff * s_f) * lap_f))
 
-    # (ii) e^{-tau N_s} = e^{-tau D} e^{(t/2) Laplacian}.
-    lhs2 = expm(-tau * n_mat.float_array())
-    rhs2 = expm(-tau * eul_f) @ expm((t_f / 2.0) * lap_f)
-    bch2_rel_err = _rel_gap(lhs2, rhs2)
+    # (ii) the same factor of A from the exact time t = s(1 - lam^2).
+    bch2_rel_err = _rel_gap(lhs, decay_f @ expm((float(t) / 2.0) * lap_f))
 
     scalar_lhs = -(math.exp(-2.0 * tau) - 1.0) / 2.0
     scalar_rhs = float(t / (2 * s))
     scalar_abs_err = abs(scalar_lhs - scalar_rhs)
 
-    # (iii) exact: diag(lam^{|alpha|}) times the terminating Taylor sum of
-    # (t/2) Laplacian, column-checked against the Hermite-coefficient decay.
-    decay = diagonal_matrix(basis, [lam**alpha.degree for alpha in basis.monomials])
+    # (iii) exact: row i of the terminating Taylor sum of (t/2) Laplacian
+    # times lam^{|alpha_i|}, column-checked against the Hermite-coefficient decay.
     heat_exact = expm(lap.scaled(t / 2), mode="exact-nilpotent")
-    factored = decay.matmul(heat_exact)
+    monomials = basis.monomials
+    decay = [lam**d for d in range(basis.n + 1)]
     exact_ok = True
     witness = None
-    for j, alpha in enumerate(basis.monomials):
+    for j, alpha in enumerate(monomials):
+        factored = {i: decay[monomials[i].degree] * x for i, x in heat_exact.columns[j].items()}
         expected = _sparse_vector(basis, hermite_semigroup(Polynomial.monomial(alpha), s, lam))
-        if factored.columns[j] != expected:
+        if factored != expected:
             exact_ok = False
             witness = str(alpha)
             break

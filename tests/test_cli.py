@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import gausscalc.matrixrep
 from gausscalc.cli import main
-from gausscalc.poly import serialize
+from gausscalc.poly import MultiIndex, Polynomial, serialize
 from gausscalc.semigroups import hermite
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -96,6 +98,40 @@ class TestBchCheck:
         )
         assert code == 2
         assert "scale" in err
+
+    def test_failing_exact_route_exits_one_with_the_witness(self, capsys, monkeypatch):
+        real = gausscalc.matrixrep.hermite_semigroup
+        target = MultiIndex({1: 1, 2: 2})
+
+        def perturbed(f, s, lam):
+            image = real(f, s, lam)
+            if f == Polynomial.monomial(target):
+                image = image + Polynomial.constant(Fraction(1, 7))
+            return image
+
+        monkeypatch.setattr(gausscalc.matrixrep, "hermite_semigroup", perturbed)
+        code, report, err = run_cli(
+            capsys, "bch-check", "--m", "2", "--n", "4", "--s", "3/2", "--lambda", "2/3"
+        )
+        assert code == 1
+        assert report["verdict"] == "fail"
+        record = report["results"][0]
+        assert record["exact_route_ok"] is False
+        assert record["exact_witness"] == str(target)
+        assert "exact route FAILED" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-identity", "--f", "x1^2", "--s", "4", "--lambda", "1/2"),
+    ("bch-check", "--m", "1", "--n", "2", "--s", "4", "--lambda", "1/2"),
+    ("convolution-check", "--f", "x1^2", "--t", "1"),
+])
+@pytest.mark.parametrize("tol", ["inf", "1e309", "-inf", "nan", "0", "-1", "abc"])
+def test_tol_must_be_positive_and_finite(capsys, argv, tol):
+    code, report, err = run_cli(capsys, *argv, f"--tol={tol}")
+    assert code == 2
+    assert report is None
+    assert "--tol" in err
 
 
 class TestHermiteCommand:
@@ -203,6 +239,16 @@ class TestBatteryArguments:
         assert code == 2
         assert report is None
         assert "at least 1" in err
+
+    @pytest.mark.parametrize("budget", ["2049", "1000000"])
+    def test_budget_above_the_rule_limit_rejected(self, capsys, command, budget):
+        # Non-even p and q take the budget as the Gauss-Hermite node count.
+        code = main([command, "--p", "3", "--q", "3", "--s", "1", "--lambda", "1/2",
+                     "--budget", budget])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{budget}-node rule" in captured.err and "2048 nodes" in captured.err
 
 
 class TestSharpnessProbe:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import gausscalc.gaussian
 import helpers
 from gausscalc.gaussian import (
     MC_DEFAULT_SAMPLES,
@@ -143,6 +144,22 @@ class TestQuadratureRule:
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
             gauss_hermite_rule(0)
+
+    @pytest.mark.parametrize("n", [2049, 10**6])
+    def test_refuses_rules_above_the_array_limit(self, n):
+        # The dense n x n Jacobi matrix may hold at most _QUAD_BLOCK_LIMIT entries.
+        with pytest.raises(ValueError, match=rf"{n}-node rule.*4194304-entry limit.*2048 nodes"):
+            gauss_hermite_rule(n)
+
+    def test_array_limit_is_the_boundary(self, monkeypatch):
+        monkeypatch.setattr(gausscalc.gaussian, "_QUAD_BLOCK_LIMIT", 100)
+        gauss_hermite_rule.cache_clear()
+        try:
+            assert len(gauss_hermite_rule(10)[0]) == 10
+            with pytest.raises(ValueError, match="11-node rule"):
+                gauss_hermite_rule(11)
+        finally:
+            gauss_hermite_rule.cache_clear()
 
     def test_rule_arrays_are_read_only(self):
         x, w = gauss_hermite_rule(5)

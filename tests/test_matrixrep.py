@@ -11,15 +11,14 @@ from gausscalc.matrixrep import (
     DIMENSION_CAP,
     BchReport,
     OperatorMatrix,
+    _add_into,
+    _combine,
+    _sparse_vector,
     bch_check,
-    diagonal_matrix,
     euler_matrix,
     expm,
     graded_basis,
-    identity_matrix,
     laplacian_matrix,
-    number_op_matrix,
-    operator_matrix,
 )
 from gausscalc.poly import MultiIndex, Polynomial, parse
 from gausscalc.semigroups import euler_d, heat, hermite_semigroup, laplacian, number_op
@@ -36,12 +35,21 @@ def _random_poly_in_basis(rng, basis, max_terms=5):
 
 
 def _dense(mat):
-    """Nested lists of the entries, after checking that no stored entry is zero."""
+    """Nested lists of the entries (row i, column j), built from the dense
+    column(j) views, after checking that no stored entry is zero."""
     assert all(x for col in mat.columns for x in col.values())
-    return [list(row) for row in mat.entries]
+    return [list(row) for row in zip(*(mat.column(j) for j in range(mat.size)))]
 
 
-def _dense_matmul(a, b):
+def _decayed(flow, lam):
+    """Row i of every column of `flow` times lam^{|alpha_i|}: diag(lam^|alpha|) * flow."""
+    monomials = flow.basis.monomials
+    return OperatorMatrix(flow.basis, tuple(
+        {i: lam**monomials[i].degree * x for i, x in col.items()} for col in flow.columns
+    ))
+
+
+def _dense_product(a, b):
     d = len(a)
     return [[sum((a[i][k] * b[k][j] for k in range(d) if a[i][k]), F(0)) for j in range(d)]
             for i in range(d)]
@@ -62,7 +70,7 @@ def _dense_expm_nilpotent(a):
     total = term
     k = 1
     while True:
-        term = _dense_scaled(_dense_matmul(term, a), F(1, k))
+        term = _dense_scaled(_dense_product(term, a), F(1, k))
         if not any(x for row in term for x in row):
             return total
         total = _dense_add(total, term)
@@ -117,17 +125,12 @@ class TestGradedBasis:
         with pytest.raises(ValueError):
             graded_basis(True, 2)
 
-    def test_vector_round_trip(self):
-        basis = graded_basis(2, 3)
-        f = parse("x1^2 x2 - 1/2 x2 + 3")
-        assert basis.poly_of(basis.vector_of(f)) == f
-
-    def test_vector_of_rejects_outside_monomials(self):
-        basis = graded_basis(1, 2)
+    def test_apply_poly_rejects_outside_monomials(self):
+        lap = laplacian_matrix(graded_basis(1, 2))
         with pytest.raises(ValueError, match="outside"):
-            basis.vector_of(parse("x1^3"))
+            lap.apply_poly(parse("x1^3"))
         with pytest.raises(ValueError, match="outside"):
-            basis.vector_of(parse("x2"))
+            lap.apply_poly(parse("x2"))
 
     def test_index_of_agrees_with_position(self):
         basis = graded_basis(3, 3)
@@ -139,104 +142,68 @@ class TestOperatorMatrices:
     def test_euler_is_the_degree_diagonal(self):
         basis = graded_basis(1, 2)
         eul = euler_matrix(basis)
-        assert eul.entries == (
-            (F(0), F(0), F(0)),
-            (F(0), F(1), F(0)),
-            (F(0), F(0), F(2)),
-        )
+        assert _dense(eul) == [
+            [F(0), F(0), F(0)],
+            [F(0), F(1), F(0)],
+            [F(0), F(0), F(2)],
+        ]
 
     def test_laplacian_has_one_entry_on_this_basis(self):
         basis = graded_basis(1, 2)
         lap = laplacian_matrix(basis)
         expected = [[F(0)] * 3 for _ in range(3)]
         expected[0][2] = F(2)
-        assert lap.entries == tuple(tuple(row) for row in expected)
-
-    def test_number_op_assembles(self):
-        basis = graded_basis(2, 3)
-        s = F(5, 3)
-        lhs = number_op_matrix(basis, s)
-        rhs = euler_matrix(basis) - laplacian_matrix(basis).scaled(s)
-        assert lhs.entries == rhs.entries
+        assert _dense(lap) == expected
 
     def test_matrices_agree_with_symbolic_operators(self):
         rng = random.Random(113)
         basis = graded_basis(3, 4)
         lap = laplacian_matrix(basis)
         eul = euler_matrix(basis)
-        num = number_op_matrix(basis, F(1, 2))
+        half_lap = lap.scaled(F(1, 2))
         for _ in range(15):
             f = _random_poly_in_basis(rng, basis)
             assert lap.apply_poly(f) == laplacian(f)
             assert eul.apply_poly(f) == euler_d(f)
-            assert num.apply_poly(f) == number_op(f, F(1, 2))
+            assert eul.apply_poly(f) - half_lap.apply_poly(f) == number_op(f, F(1, 2))
 
     def test_laplacian_is_strictly_upper_triangular(self):
         for m, n in [(1, 4), (2, 3), (3, 3)]:
             lap = laplacian_matrix(graded_basis(m, n))
-            d = lap.size
-            for i in range(d):
+            dense = _dense(lap)
+            for i in range(lap.size):
                 for j in range(i + 1):
-                    assert lap.entries[i][j] == 0
-
-    def test_number_op_is_upper_with_degree_diagonal(self):
-        basis = graded_basis(2, 4)
-        num = number_op_matrix(basis, F(3))
-        for i, alpha in enumerate(basis.monomials):
-            assert num.entries[i][i] == alpha.degree
-            for j in range(i):
-                assert num.entries[i][j] == 0
+                    assert dense[i][j] == 0
 
     def test_commutator_with_euler_is_twice_laplacian(self):
         for m, n in [(1, 4), (2, 5), (3, 8)]:
             basis = graded_basis(m, n)
             lap = laplacian_matrix(basis)
             eul = euler_matrix(basis)
-            bracket = lap.matmul(eul) - eul.matmul(lap)
-            assert bracket.entries == lap.scaled(2).entries
+            twice = lap.scaled(2)
+            for alpha in basis.monomials:
+                x = Polynomial.monomial(alpha)
+                bracket = lap.apply_poly(eul.apply_poly(x)) - eul.apply_poly(lap.apply_poly(x))
+                assert bracket == twice.apply_poly(x)
 
     def test_composition_matches_matrix_product(self):
         rng = random.Random(127)
         basis = graded_basis(2, 4)
         lap = laplacian_matrix(basis)
         eul = euler_matrix(basis)
-        both = lap.matmul(eul)
+        both = OperatorMatrix(basis, tuple(_combine(lap.columns, col) for col in eul.columns))
         for _ in range(10):
             f = _random_poly_in_basis(rng, basis)
             assert both.apply_poly(f) == laplacian(euler_d(f))
-
-    def test_dispatcher(self):
-        basis = graded_basis(1, 3)
-        assert operator_matrix("laplacian", basis).entries == laplacian_matrix(basis).entries
-        assert operator_matrix("euler_d", basis).entries == euler_matrix(basis).entries
-        assert (
-            operator_matrix("number_op", basis, s=2).entries
-            == number_op_matrix(basis, 2).entries
-        )
-        with pytest.raises(ValueError, match="needs the variance"):
-            operator_matrix("number_op", basis)
-        with pytest.raises(ValueError, match="unknown"):
-            operator_matrix("gradient", basis)
-
-    def test_mismatched_bases_are_rejected(self):
-        a = euler_matrix(graded_basis(1, 2))
-        b = euler_matrix(graded_basis(1, 3))
-        with pytest.raises(ValueError, match="different bases"):
-            a + b
-        with pytest.raises(ValueError, match="different bases"):
-            a.matmul(b)
-
-    def test_diagonal_matrix_validation(self):
-        basis = graded_basis(1, 2)
-        with pytest.raises(ValueError):
-            diagonal_matrix(basis, [1, 2])
 
 
 class TestExpm:
     def test_zero_matrix_exponentiates_to_identity(self):
         basis = graded_basis(2, 2)
         zero = laplacian_matrix(basis).scaled(0)
-        assert expm(zero, mode="exact-nilpotent").entries == identity_matrix(basis).entries
+        assert expm(zero, mode="exact-nilpotent").columns == tuple(
+            {j: F(1)} for j in range(basis.size)
+        )
 
     def test_exact_heat_flow_on_a_square(self):
         basis = graded_basis(1, 4)
@@ -266,10 +233,12 @@ class TestExpm:
 
     def test_exact_mode_rejects_non_nilpotent_input(self):
         basis = graded_basis(1, 2)
+        eul = euler_matrix(basis)
+        both_triangles = OperatorMatrix(basis, ({2: F(1)}, {}, {0: F(2)}))
         with pytest.raises(ValueError, match="strictly triangular"):
-            expm(identity_matrix(basis), mode="exact-nilpotent")
+            expm(eul, mode="exact-nilpotent")
         with pytest.raises(ValueError, match="strictly triangular"):
-            expm(number_op_matrix(basis, 1), mode="exact-nilpotent")
+            expm(both_triangles, mode="exact-nilpotent")
         with pytest.raises(TypeError):
             expm(np.zeros((2, 2)), mode="exact-nilpotent")
 
@@ -309,15 +278,15 @@ class TestFloatExpm:
         lap, eul = laplacian_matrix(basis), euler_matrix(basis)
         t, tau = s * (1 - lam * lam), -math.log(float(lam))
         heat_exact = expm(lap.scaled(t / 2), mode="exact-nilpotent")
-        decay = diagonal_matrix(basis, [lam**alpha.degree for alpha in basis.monomials])
+        decay = np.diag([float(lam**alpha.degree) for alpha in basis.monomials])
         taken = self._branches(monkeypatch)
 
-        general = expm(-tau * number_op_matrix(basis, s).float_array())
-        assert _rel_err(general, decay.matmul(heat_exact).float_array()) <= 1e-13
+        general = expm(tau * (float(s) * lap.float_array() - eul.float_array()))
+        assert _rel_err(general, _decayed(heat_exact, lam).float_array()) <= 1e-13
         nilpotent = expm((float(t) / 2) * lap.float_array())
         assert _rel_err(nilpotent, heat_exact.float_array()) <= 1e-13
         diagonal = expm(-tau * eul.float_array())
-        assert _rel_err(diagonal, decay.float_array()) <= 1e-13
+        assert _rel_err(diagonal, decay) <= 1e-13
         assert taken == ["_expm_pade13", "_expm_nilpotent_float"]
 
     def test_strictly_lower_input_takes_the_taylor_sum(self, monkeypatch):
@@ -373,19 +342,30 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("m,n", BASES)
     def test_product_sum_and_scaling(self, m, n):
+        # The sparse helpers of the exact expm: _combine (column j of A*B) and
+        # _add_into (A + B column by column), both dropping cancelled entries.
         basis, nilpotents = self._nilpotents(m, n)
-        one = identity_matrix(basis)
+        one = OperatorMatrix(basis, tuple({j: F(1)} for j in range(basis.size)))
+
+        def plus(a, b):
+            columns = [dict(col) for col in a.columns]
+            for col, other in zip(columns, b.columns):
+                _add_into(col, other)
+            return OperatorMatrix(basis, tuple(columns))
+
+        def times(a, b):
+            return OperatorMatrix(basis, tuple(_combine(a.columns, col) for col in b.columns))
+
         # (I + L)(I - L) = I - L^2 cancels inside every column of the product.
-        mats = nilpotents + [number_op_matrix(basis, F(3, 2)), one + nilpotents[0],
-                             one - nilpotents[0]]
+        mats = nilpotents + [plus(euler_matrix(basis), nilpotents[1]),
+                             plus(one, nilpotents[0]), plus(one, nilpotents[0].scaled(-1))]
         for a in mats:
             for b in mats + [euler_matrix(basis)]:
-                assert _dense(a.matmul(b)) == _dense_matmul(_dense(a), _dense(b))
-                assert _dense(a + b) == _dense_add(_dense(a), _dense(b))
-                assert _dense(a - b) == _dense_add(_dense(a), _dense_scaled(_dense(b), F(-1)))
+                assert _dense(times(a, b)) == _dense_product(_dense(a), _dense(b))
+                assert _dense(plus(a, b)) == _dense_add(_dense(a), _dense(b))
             assert _dense(a.scaled(F(-7, 4))) == _dense_scaled(_dense(a), F(-7, 4))
-            assert (a - a).is_zero()
-            assert _dense(a - a) == _dense(a.scaled(0))
+            assert not any(plus(a, a.scaled(-1)).columns)
+            assert not any(a.scaled(0).columns)
 
     @pytest.mark.parametrize("m,n", BASES)
     def test_terminating_taylor_sum(self, m, n):
@@ -398,12 +378,13 @@ class TestDenseOracle:
         rng = random.Random(137)
         basis, nilpotents = self._nilpotents(m, n)
         for a in nilpotents:
-            assert np.array_equal(a.float_array(), np.array(_dense(a), dtype=float))
-            vector = basis.vector_of(_random_poly_in_basis(rng, basis))
             dense = _dense(a)
-            expected = tuple(sum((r * v for r, v in zip(row, vector)), F(0)) for row in dense)
-            assert a.apply(vector) == expected
-            assert all(a.column(j) == tuple(row[j] for row in dense) for j in range(a.size))
+            assert np.array_equal(a.float_array(), np.array(dense, dtype=float))
+            f = _random_poly_in_basis(rng, basis)
+            vector = [f.coefficient(alpha) for alpha in basis.monomials]
+            image = [sum((r * v for r, v in zip(row, vector)), F(0)) for row in dense]
+            expected = Polynomial((alpha, c) for alpha, c in zip(basis.monomials, image))
+            assert a.apply_poly(f) == expected
 
 
 def test_exact_expm_never_calls_the_semigroups(monkeypatch):
@@ -419,7 +400,7 @@ def test_exact_expm_never_calls_the_semigroups(monkeypatch):
     lap = laplacian_matrix(basis).scaled(F(3, 4))
     for a in (lap, _transpose(lap)):
         flow = expm(a, mode="exact-nilpotent")
-        assert not flow.is_zero()
+        assert any(flow.columns)
 
 
 class TestBchCheck:
@@ -467,12 +448,47 @@ class TestBchCheck:
     def test_exact_route_matches_hermite_decay_by_hand(self):
         s, lam = F(2), F(1, 3)
         basis = graded_basis(1, 3)
-        decay = diagonal_matrix(basis, [lam**a.degree for a in basis.monomials])
         flow = expm(laplacian_matrix(basis).scaled(s * (1 - lam * lam) / 2), mode="exact-nilpotent")
-        factored = decay.matmul(flow)
+        factored = _decayed(flow, lam)
         for j, alpha in enumerate(basis.monomials):
             image = hermite_semigroup(Polynomial.monomial(alpha), s, lam)
-            assert factored.column(j) == basis.vector_of(image)
+            assert factored.columns[j] == _sparse_vector(basis, image)
+            assert factored.column(j) == tuple(image.coefficient(b) for b in basis.monomials)
+
+    def test_one_exponential_per_operator(self, monkeypatch):
+        # One Pade (the shared left-hand side), one diagonal (the shared decay
+        # factor), two Taylor sums (one Laplacian factor per identity), one exact.
+        taken = TestFloatExpm._branches(monkeypatch)
+        real = gausscalc.matrixrep.expm
+        modes = []
+
+        def spy(matrix, mode="float"):
+            modes.append(mode)
+            return real(matrix, mode)
+
+        monkeypatch.setattr(gausscalc.matrixrep, "expm", spy)
+        report = bch_check(F(3, 2), F(3, 5), graded_basis(2, 5))
+        assert report.ok
+        assert sorted(modes) == ["exact-nilpotent"] + ["float"] * 4
+        assert sorted(taken) == ["_expm_nilpotent_float"] * 2 + ["_expm_pade13"]
+
+    def test_failing_exact_route_names_the_perturbed_monomial(self, monkeypatch):
+        real = gausscalc.matrixrep.hermite_semigroup
+        basis = graded_basis(2, 4)
+        target = basis.monomials[7]
+
+        def perturbed(f, s, lam):
+            image = real(f, s, lam)
+            if f == Polynomial.monomial(target):
+                image = image + parse("1/7 x2")
+            return image
+
+        monkeypatch.setattr(gausscalc.matrixrep, "hermite_semigroup", perturbed)
+        report = bch_check(F(3, 2), F(2, 3), basis)
+        assert report.exact_route_ok is False
+        assert report.ok is False
+        assert report.exact_witness == str(target)
+        assert max(report.bch_rel_err, report.bch2_rel_err) <= report.tol
 
     def test_validation(self):
         basis = graded_basis(1, 2)
