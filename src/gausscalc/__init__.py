@@ -15,7 +15,6 @@ from .gaussian import (
     NODE_CAP,
     CharCheck,
     LpEstimate,
-    Variance,
     char_check,
     expectation_quadrature,
     gauss_hermite_rule,
@@ -81,7 +80,6 @@ __all__ = [
     "OperatorMatrix",
     "PolyParseError",
     "Polynomial",
-    "Variance",
     "VarianceParams",
     "as_fraction",
     "bch_check",

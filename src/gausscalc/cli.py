@@ -94,15 +94,9 @@ def _point_arg(text: str) -> dict:
                 f"expected assignments like 'x1=1/2,x2=-3', got {chunk!r}"
             )
         try:
-            point[var] = as_fraction(raw.strip())
-        except (ValueError, TypeError):
-            try:
-                value = float(raw)
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"bad value for {name}: {raw!r}")
-            if not math.isfinite(value):
-                raise argparse.ArgumentTypeError(f"{name} must be finite, got {raw!r}")
-            point[var] = value
+            point[var] = as_fraction(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be a finite rational, got {raw!r}")
     return point
 
 
@@ -442,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--json-out", metavar="PATH", default=None,
                        help="also write the JSON report to this file")
@@ -491,7 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("hypercontractivity-scan", "norm contraction over the documented battery"),
         ("sharpness-probe",
-         "classify (p,q,s,t) and hunt for an expansion witness when allowed"),
+         "classify (p,q,s,t) by the contraction condition (q-1)/(p-1) <= s/(s-t), "
+         "that is (q-1) lambda^2 <= p-1 (PAPER.md's transcription of the abstract "
+         "swaps p and q), and hunt for an expansion witness where it fails"),
     ):
         p = add(name, _cmd_contraction, help_text)
         p.add_argument("--p", type=_gt1_rational_arg, required=True)
@@ -502,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon-grid", type=_grid_arg,
                        default=(Fraction(1, 2), Fraction(1, 10)))
         p.add_argument("--budget", type=_int_at_least(1), default=401,
-                       help="quadrature nodes per variable")
+                       help="quadrature nodes per variable, for a non-even p or q")
         p.add_argument("--seed", type=int, default=0)
 
     p = add("convolution-check", _cmd_convolution_check,

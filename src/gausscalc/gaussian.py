@@ -3,9 +3,10 @@
 Only finite-dimensional marginals are ever touched: a polynomial (or any
 integrand) depends on finitely many coordinates, and each coordinate is
 an independent N(0, s) variable.  Exact rational moments and inner
-products come from the even-moment formula; numeric L^p norms come from
-tensor Gauss-Hermite quadrature, with a seeded Monte Carlo cross-check
-when |f|^p is not itself a polynomial.
+products come from the even-moment formula, and so does the L^p norm
+for even integer p, where |f|^p = f^p is a polynomial.  Other L^p norms
+come from tensor Gauss-Hermite quadrature with a seeded Monte Carlo
+cross-check.
 """
 
 from __future__ import annotations
@@ -26,23 +27,8 @@ NODE_CAP = 10**8
 MC_DEFAULT_SAMPLES = 10**6
 
 
-@dataclass(frozen=True)
-class Variance:
-    """The variance parameter s > 0 of the product Gaussian measure."""
-
-    s: Fraction
-
-    def __post_init__(self):
-        s = as_fraction(self.s)
-        if s <= 0:
-            raise ValueError(f"variance must be positive, got {s}")
-        object.__setattr__(self, "s", s)
-
-
 def variance_of(s) -> Fraction:
-    """Normalize a Variance, Fraction, int, or rational string to Fraction > 0."""
-    if isinstance(s, Variance):
-        return s.s
+    """Normalize a Fraction, int, or rational string to a Fraction > 0."""
     value = as_fraction(s)
     if value <= 0:
         raise ValueError(f"variance must be positive, got {value}")
@@ -53,16 +39,16 @@ def variance_of(s) -> Fraction:
 class LpEstimate:
     """A numeric estimate of an L^p norm with an explicit error bound.
 
-    For even integer p the quadrature integrates |f|^p = f^p exactly
-    (polynomial of known degree), so abs_error_bound is 0 up to float
-    rounding.  Otherwise the bound is a 3-sigma Monte Carlo standard
-    error propagated through the p-th root, and cross_check carries the
-    Monte Carlo value of the norm itself.
+    method "exact" (even integer p): value is the float p-th root of the
+    exact rational E[f^p], and abs_error_bound is proven in rationals.
+    method "quadrature" (other p): the bound is a 3-sigma Monte Carlo
+    standard error propagated through the p-th root, and cross_check
+    carries the Monte Carlo value of the norm itself.
     """
 
     value: float
     abs_error_bound: float
-    method: str  # "quadrature" | "monte-carlo"
+    method: str  # "exact" | "quadrature"
     samples_or_nodes: int
     cross_check: float | None = None
     cross_check_samples: int = 0
@@ -90,17 +76,10 @@ def gaussian_moment(alpha, s) -> Fraction:
     Zero if any exponent is odd; otherwise the product over variables of
     (alpha_i - 1)!! * s^(alpha_i / 2).
     """
-    s = variance_of(s)
     if not isinstance(alpha, MultiIndex):
         alpha = MultiIndex(alpha)
-    coeff = 1
-    half = 0
-    for _, e in alpha.entries:
-        if e % 2:
-            return Fraction(0)
-        coeff *= _even_double_factorial_part(e)
-        half += e // 2
-    return coeff * s**half
+    moment = _pair_moment(alpha, MultiIndex(), [Fraction(1), variance_of(s)])
+    return Fraction(0) if moment is None else moment
 
 
 def _pair_moment(a: MultiIndex, b: MultiIndex, s_powers: list) -> Fraction | None:
@@ -172,14 +151,10 @@ def gauss_hermite_rule(n: int):
             f"{_QUAD_BLOCK_LIMIT}-entry limit on one array (at most "
             f"{math.isqrt(_QUAD_BLOCK_LIMIT)} nodes)"
         )
-    if n == 1:
-        nodes = np.zeros(1)
-        weights = np.ones(1)
-    else:
-        off_diag = np.sqrt(np.arange(1, n, dtype=float))
-        nodes, vectors = np.linalg.eigh(np.diag(off_diag, 1) + np.diag(off_diag, -1))
-        weights = vectors[0] ** 2
-        weights /= weights.sum()  # constants must integrate to exactly 1
+    off_diag = np.sqrt(np.arange(1, n, dtype=float))
+    nodes, vectors = np.linalg.eigh(np.diag(off_diag, 1) + np.diag(off_diag, -1))
+    weights = vectors[0] ** 2
+    weights /= weights.sum()  # constants must integrate to exactly 1
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -208,12 +183,6 @@ def expectation_quadrature(integrand, variables, s, nodes_per_var: int) -> float
         )
     x, w = gauss_hermite_rule(nodes_per_var)
     x = x * math.sqrt(s)
-
-    if v == 1:
-        values = np.asarray(integrand({variables[0]: x}), dtype=float)
-        values = np.broadcast_to(values, x.shape)
-        return float(np.dot(w, values))
-
     rest_shape = (nodes_per_var,) * (v - 1)
     rest_size = nodes_per_var ** (v - 1)
     block = max(1, _QUAD_BLOCK_LIMIT // rest_size)
@@ -261,14 +230,14 @@ def lp_norm(
 ) -> LpEstimate:
     """(E_{mu_s}|f|^p)^(1/p), numerically.
 
-    Even integer p: |f|^p is a polynomial of degree p*deg(f), so tensor
-    Gauss-Hermite with ceil((p*deg(f)+1)/2) nodes per variable (or the
-    budget, if larger) integrates it exactly; the error bound is 0.
+    Even integer p: the p-th root of the exact moment E_s[f^p], with a
+    bound on its float rounding proven in rationals.
     Other p >= 1: quadrature at the budgeted node count (default 401 per
     variable) plus a Monte Carlo cross-check whose 3-sigma standard
-    error, pushed through the p-th root, is the reported bound.
+    error, pushed through the p-th root, is the reported bound; an
+    estimate that is not finite raises ValueError.
     A budget, when given, must be at least 1, and mc_samples at least 2
-    (a standard error needs two samples).
+    (a standard error needs two samples), whatever p is.
     """
     p = float(p)
     if not p >= 1:
@@ -281,26 +250,32 @@ def lp_norm(
     if f.degree <= 0:
         value = abs(float(f.constant_term()))
         return LpEstimate(value, 0.0, "quadrature", 0)
+    not_finite = f"L^p norm not finite in floating point at p = {p:g}, deg f = {f.degree}"
+    if p.is_integer() and int(p) % 2 == 0:
+        # The bound is the first b, doubling from one ulp, with
+        # (value - b)^k <= E_s[f^k] <= (value + b)^k in rationals.
+        k = int(p)
+        mean = inner_product(f**k, Polynomial.one(), s)
+        try:
+            value = math.exp((math.log(mean.numerator) - math.log(mean.denominator)) / k)
+        except OverflowError:
+            raise ValueError(not_finite) from None
+        exact, bound = Fraction(value), 0.0
+        if exact**k != mean:
+            bound = math.ulp(value)
+            while not (exact - Fraction(bound)) ** k <= mean <= (exact + Fraction(bound)) ** k:
+                bound *= 2
+        return LpEstimate(value, bound, "exact", 0)
 
     variables = f.active_variables
-    degree = int(f.degree)
-    even = p.is_integer() and int(p) % 2 == 0
-    if even:
-        k = int(p)
-        needed = (k * degree) // 2 + 1
-        nodes = needed if budget is None else max(budget, needed)
-        mean = expectation_quadrature(
-            lambda point: f.evaluate(point) ** k, variables, s, nodes
-        )
-        mean = max(mean, 0.0)
-        return LpEstimate(mean ** (1.0 / p), 0.0, "quadrature", nodes ** len(variables))
-
     nodes = 401 if budget is None else budget
     mean = expectation_quadrature(
         lambda point: np.abs(f.evaluate(point)) ** p, variables, s, nodes
     )
-    mean = max(mean, 0.0)
     mc_mean, mc_std_err = _monte_carlo_abs_power_mean(f, p, s, mc_samples, seed)
+    if not all(map(math.isfinite, (mean, mc_mean, mc_std_err))):
+        raise ValueError(not_finite)
+    mean = max(mean, 0.0)
     value = mean ** (1.0 / p)
     if mean > 0:
         bound = (1.0 / p) * mean ** (1.0 / p - 1.0) * 3.0 * mc_std_err

@@ -106,14 +106,10 @@ def heat(f: Polynomial, t) -> Polynomial:
 def dilate(f: Polynomial, lam) -> Polynomial:
     """f(lam x): scales each coefficient by lam^{|alpha|}.
 
-    A float lam is embedded as the exact rational equal to its binary
-    value, so the symbolic layer stays rational either way; pass a
-    Fraction or string like '2/3' for a mathematically exact scale.
+    lam is an exact scalar (see as_fraction); a float is refused, and a
+    caller that means its binary value passes Fraction(lam).
     """
-    if isinstance(lam, float):
-        lam = Fraction(lam)
-    else:
-        lam = as_fraction(lam)
+    lam = as_fraction(lam)
     if lam == 0:
         raise ValueError("dilation scale must be nonzero")
     if lam == 1 or f.is_zero:

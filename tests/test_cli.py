@@ -211,6 +211,21 @@ class TestHypercontractivityScan:
         assert report["params"]["condition_holds"] is True
         assert all(r["method"] == "quadrature" for r in report["results"])
 
+    def test_high_degree_even_exponents_give_valid_json(self, capsys):
+        # Float quadrature of f^4 overflowed here and printed NaN, which is
+        # not JSON and compared as contractive.
+        code = main(["hypercontractivity-scan", "--p", "4", "--q", "4", "--s", "1",
+                     "--lambda", "1/2", "--degree-cap", "52"])
+        out = capsys.readouterr().out
+
+        def refuse(constant):
+            raise ValueError(f"non-finite {constant} in the report")
+
+        report = json.loads(out, parse_constant=refuse)
+        assert code == 0
+        assert report["verdict"] == "pass"
+        assert len(report["results"]) == 55
+
     def test_violation_exits_one(self, capsys):
         code, report, _ = run_cli(
             capsys, "hypercontractivity-scan",
@@ -289,6 +304,18 @@ class TestSharpnessProbe:
         assert report["verdict"] == "pass"
         assert report["params"]["condition_holds"] is False
         assert report["params"]["witness"] == "1/2 x1 + 1"
+
+    def test_transcribed_condition_is_not_the_checked_one(self, capsys):
+        # (p-1)/(q-1) <= s/(s-t) holds here, but the checked condition
+        # (q-1)/(p-1) <= s/(s-t) fails, and x1 expands: ratio 0.9 * 945^(1/10)
+        code, report, _ = run_cli(
+            capsys, "sharpness-probe", "--p", "2", "--q", "10", "--s", "1", "--lambda", "9/10",
+        )
+        assert code == 0
+        assert report["params"]["condition_holds"] is False
+        assert report["params"]["witness"] == "x1"
+        ratio = next(r["ratio"] for r in report["results"] if r["f"] == "x1")
+        assert abs(ratio - 0.9 * 945 ** 0.1) < 1e-12
 
     def test_inconclusive_when_the_battery_is_too_weak(self, capsys):
         # condition barely fails; a degree-0 battery with a tiny epsilon

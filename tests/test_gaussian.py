@@ -10,7 +10,6 @@ import helpers
 from gausscalc.gaussian import (
     MC_DEFAULT_SAMPLES,
     NODE_CAP,
-    Variance,
     char_check,
     expectation_quadrature,
     gauss_hermite_rule,
@@ -20,15 +19,12 @@ from gausscalc.gaussian import (
     variance_of,
 )
 from gausscalc.poly import MultiIndex, Polynomial, parse
-from gausscalc.semigroups import hermite
+from gausscalc.semigroups import heat, hermite
 
 
 class TestVariance:
     def test_coerces_and_validates(self):
-        assert Variance("1/2").s == Fraction(1, 2)
-        assert variance_of(Variance(3)) == 3
-        with pytest.raises(ValueError):
-            Variance(0)
+        assert variance_of("1/2") == Fraction(1, 2)
         with pytest.raises(ValueError):
             variance_of("-2")
         with pytest.raises(TypeError):
@@ -224,7 +220,7 @@ class TestLpNorm:
 
     def test_linear_function_l2(self):
         est = lp_norm(parse("x1"), 2, 4)
-        assert est.method == "quadrature"
+        assert est.method == "exact"
         assert est.abs_error_bound == 0.0
         assert abs(est.value - 2.0) < 1e-12
 
@@ -237,10 +233,6 @@ class TestLpNorm:
         assert exact == 60
         est = lp_norm(parse("x1^2 - 1"), 4, 1)
         assert abs(est.value - 60**0.25) < 1e-12 * 60**0.25
-
-    def test_even_p_uses_enough_nodes(self):
-        est = lp_norm(parse("x1^3"), 4, 1)
-        assert est.samples_or_nodes >= (4 * 3) // 2 + 1
 
     def test_non_even_p_carries_monte_carlo_cross_check(self):
         est = lp_norm(parse("1 + 1/2 x1"), 3, Fraction(1, 4), budget=201, seed=9)
@@ -292,13 +284,12 @@ class TestLpNorm:
 
     def test_budget_none_means_default(self):
         f = parse("x1^2 - 1")
-        assert lp_norm(f, 4, 1, budget=None).samples_or_nodes == (4 * 2) // 2 + 1
         assert lp_norm(f, 3, 1, budget=None).samples_or_nodes == 401
 
     def test_budget_over_cap_rejected(self):
         f = parse("x1 x2 x3 x4 x5")
         with pytest.raises(ValueError, match="cap"):
-            lp_norm(f, 2, 1, budget=700)
+            lp_norm(f, 3, 1, budget=700)
 
     def test_monte_carlo_streams_are_reproducible(self):
         f = parse("x1^2 + x2")
@@ -307,6 +298,82 @@ class TestLpNorm:
         c = lp_norm(f, 3, 1, budget=51, seed=124)
         assert a == b
         assert a.cross_check != c.cross_check
+
+    def test_non_finite_estimate_rejected(self):
+        # |f|^3 overflows in float at the quadrature nodes and the samples;
+        # a nan mean used to come out as a norm that compares as contractive.
+        f = heat(hermite({1: 82}, 1), Fraction(3, 4))
+        with pytest.raises(ValueError, match=r"not finite.*p = 3, deg f = 82"):
+            lp_norm(f, 3, Fraction(1, 4), mc_samples=1000)
+
+
+def _brackets(estimate, p, mean):
+    """(value - bound)^p <= mean <= (value + bound)^p, in rationals."""
+    value, bound = Fraction(estimate.value), Fraction(estimate.abs_error_bound)
+    return (value - bound) ** p <= mean <= (value + bound) ** p
+
+
+class TestEvenLpNorm:
+    """Even integer p: the p-th root of the exact moment E_s[f^p]."""
+
+    def test_bound_brackets_the_exact_moment(self):
+        rng = random.Random(47)
+        cases = [(parse("x1^7"), 6, Fraction(1))]  # 1/6 is rounded: 2 ulps fall short here
+        while len(cases) < 201:
+            f = helpers.random_polynomial(rng, max_vars=3, max_degree=6, max_terms=4)
+            if f.degree > 0:
+                cases.append((f, rng.choice((2, 4, 6)),
+                               rng.choice((Fraction(1), Fraction(3, 2), Fraction(1, 4)))))
+        for f, p, s in cases:
+            half = f ** (p // 2)
+            estimate = lp_norm(f, p, s)
+            assert estimate.method == "exact" and estimate.samples_or_nodes == 0
+            assert _brackets(estimate, p, inner_product(half, half, s))
+            assert estimate.abs_error_bound <= 1e-12 * estimate.value
+
+    def test_matches_quadrature_with_enough_nodes(self):
+        # An independent route: p * deg f <= 24 keeps the rule's moments
+        # accurate, and f^p >= 0 makes every quadrature summand nonnegative.
+        rng = random.Random(53)
+        checked = 0
+        while checked < 40:
+            f = helpers.random_polynomial(rng, max_vars=2, max_degree=6, max_terms=3)
+            p = rng.choice((2, 4, 6))
+            if not 0 < p * f.degree <= 24:
+                continue
+            checked += 1
+            s = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+            nodes = int(p * f.degree) // 2 + 1
+            mean = expectation_quadrature(
+                lambda point: f.evaluate(point) ** p, f.active_variables, s, nodes
+            )
+            assert abs(mean ** (1 / p) - lp_norm(f, p, s).value) <= 1e-10 * mean ** (1 / p)
+
+    def test_high_degree_monomials(self):
+        # E[x^120] = 119!!; quadrature in floats was off by 2.8e-4 relative here
+        estimate = lp_norm(parse("x1^30"), 4, 1)
+        assert _brackets(estimate, 4, math.prod(range(1, 120, 2)))
+        assert abs(estimate.value - 5.1387e24) <= 1e-4 * 5.1387e24
+        # f^4 overflows a float at every nonzero node; the exact moment does not
+        estimate = lp_norm(parse("x1^200"), 4, 1)
+        assert math.isfinite(estimate.value) and math.isfinite(estimate.abs_error_bound)
+        assert _brackets(estimate, 4, math.prod(range(1, 800, 2)))
+
+    def test_never_integrates_numerically(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("even p must not reach quadrature or Monte Carlo")
+
+        monkeypatch.setattr(gausscalc.gaussian, "expectation_quadrature", refuse)
+        monkeypatch.setattr(gausscalc.gaussian, "_monte_carlo_abs_power_mean", refuse)
+        for p in (2, 4, 6, 8.0):
+            estimate = lp_norm(parse("x1^2 x2 - 1/3 x3 + 2"), p, Fraction(3, 2), budget=5)
+            assert estimate.method == "exact"
+            assert estimate.cross_check is None and estimate.cross_check_samples == 0
+
+    def test_norm_beyond_the_float_range_rejected(self):
+        # ||x1^700||_2 = sqrt(1399!!) is about 1e1000
+        with pytest.raises(ValueError, match=r"not finite.*p = 2, deg f = 700"):
+            lp_norm(parse("x1^700"), 2, 1)
 
 
 class TestCharCheck:

@@ -324,8 +324,12 @@ class TestDilate:
             dilate(f, 0)
 
     def test_float_scale_embeds_exactly(self):
+        # Floats are refused as at every exact entry point; a caller that
+        # means the binary value embeds it as a Fraction.
         f = parse("x1^2 + x1")
-        assert dilate(f, 0.5) == dilate(f, F(1, 2))
+        with pytest.raises(TypeError, match="float"):
+            dilate(f, 0.5)
+        assert dilate(f, F(0.5)) == dilate(f, F(1, 2))
 
     def test_composition_multiplies_scales(self):
         rng = random.Random(71)
