@@ -44,6 +44,9 @@ class LpEstimate:
     method "quadrature" (other p): the bound is a 3-sigma Monte Carlo
     standard error propagated through the p-th root, and cross_check
     carries the Monte Carlo value of the norm itself.
+    A constant c keeps its exponent's label but runs no integral: value
+    is float(|c|), and the bound is 0 when that float equals |c| and one
+    ulp of it otherwise.
     """
 
     value: float
@@ -213,7 +216,9 @@ def _monte_carlo_abs_power_mean(f: Polynomial, p: float, s, samples: int, seed: 
     rng = np.random.Generator(np.random.Philox(key=seed))
     draws = rng.normal(0.0, math.sqrt(s), size=(samples, len(variables)))
     point = {var: draws[:, k] for k, var in enumerate(variables)}
-    values = np.abs(np.asarray(f.evaluate(point), dtype=float)) ** p
+    values = np.abs(np.asarray(f.evaluate(point), dtype=float))
+    del draws, point
+    values **= p
     values = np.broadcast_to(values, (samples,))
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / math.sqrt(samples))
@@ -247,11 +252,14 @@ def lp_norm(
     if mc_samples < 2:
         raise ValueError(f"need at least 2 Monte Carlo samples, got {mc_samples}")
     s = variance_of(s)
+    even = p.is_integer() and int(p) % 2 == 0
     if f.degree <= 0:
-        value = abs(float(f.constant_term()))
-        return LpEstimate(value, 0.0, "quadrature", 0)
+        c = abs(f.constant_term())
+        value = float(c)
+        bound = 0.0 if Fraction(value) == c else math.ulp(value)
+        return LpEstimate(value, bound, "exact" if even else "quadrature", 0)
     not_finite = f"L^p norm not finite in floating point at p = {p:g}, deg f = {f.degree}"
-    if p.is_integer() and int(p) % 2 == 0:
+    if even:
         # The bound is the first b, doubling from one ulp, with
         # (value - b)^k <= E_s[f^k] <= (value + b)^k in rationals.
         k = int(p)

@@ -34,9 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gaussian import variance_of
 from .poly import MultiIndex, Polynomial, as_fraction
-from .semigroups import euler_d, hermite_semigroup, laplacian
+from .semigroups import VarianceParams, euler_d, hermite_semigroup, laplacian
 
 #: Largest basis dimension C(m+n, n) this module will materialize.
 DIMENSION_CAP = 5000
@@ -364,13 +363,11 @@ def bch_check(s, lam, basis: GradedBasis, tol: float = 1e-10) -> BchReport:
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    s = variance_of(s)
     lam = as_fraction(lam)
     if not 0 < lam <= 1:
         raise ValueError(f"need a scale in (0, 1], got {lam}")
-    lam_sq = lam * lam
-    t = s * (1 - lam_sq)
-    tau = -math.log(float(lam))
+    params = VarianceParams.from_scale(s, lam)
+    s, t, tau = params.s, params.t, params.tau
 
     lap = laplacian_matrix(basis)
     lap_f = lap.float_array()

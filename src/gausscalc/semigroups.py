@@ -299,20 +299,23 @@ def verify_ident2(f: Polynomial, params: VarianceParams, float_tol: float = 1e-1
     irrational the float sqrt is embedded as a rational and the two
     sides are compared to float_tol relative.
     """
-    if params.lam is not None:
-        lhs = dilate(heat(f, params.t), params.lam)
-        rhs = hermite_semigroup(f, params.s, params.lam)
-        witness = lhs - rhs
-        return CheckResult(witness.is_zero, lhs, rhs, witness)
-    lam = Fraction(params.lam_float)
+    lam = Fraction(params.lam_float) if params.lam is None else params.lam
     lhs = dilate(heat(f, params.t), lam)
     rhs = hermite_semigroup(f, params.s, lam)
-    return _float_compare(lhs, rhs, float_tol)
+    if params.lam is None:
+        return _float_compare(lhs, rhs, float_tol)
+    witness = lhs - rhs
+    return CheckResult(witness.is_zero, lhs, rhs, witness)
+
+
+def _bracket(f: Polynomial) -> Polynomial:
+    """[Delta, D] f = Delta D f - D Delta f."""
+    return laplacian(euler_d(f)) - euler_d(laplacian(f))
 
 
 def verify_commutator(f: Polynomial) -> CheckResult:
     """Check the bracket [Delta, D] f = 2 Delta f exactly."""
-    lhs = laplacian(euler_d(f)) - euler_d(laplacian(f))
+    lhs = _bracket(f)
     rhs = 2 * laplacian(f)
     witness = lhs - rhs
     return CheckResult(witness.is_zero, lhs, rhs, witness)
@@ -321,14 +324,10 @@ def verify_commutator(f: Polynomial) -> CheckResult:
 def verify_nested_commutator(f: Polynomial) -> CheckResult:
     """Check [Delta, [Delta, D]] f = 0 exactly.
 
-    The inner bracket acts as C = Delta D - D Delta; nesting once more
-    must vanish because C = 2 Delta commutes with Delta.
+    Nesting the bracket once more must vanish because [Delta, D] = 2 Delta
+    commutes with Delta.
     """
-
-    def inner(g):
-        return laplacian(euler_d(g)) - euler_d(laplacian(g))
-
-    lhs = laplacian(inner(f)) - inner(laplacian(f))
+    lhs = laplacian(_bracket(f)) - _bracket(laplacian(f))
     rhs = Polynomial.zero()
     return CheckResult(lhs.is_zero, lhs, rhs, lhs)
 
@@ -390,12 +389,7 @@ def heat_convolution_oracle(f: Polynomial, t, x, nodes: int) -> ConvolutionCheck
         return f.evaluate({v: shift[v] + point[v] for v in variables})
 
     numeric = expectation_quadrature(integrand, variables, t, nodes)
-    flowed = heat(f, t)
-    exact_point = all(not isinstance(v, float) for v in x.values())
-    if exact_point:
-        algebraic = float(flowed.evaluate({k: as_fraction(v) for k, v in x.items()}))
-    else:
-        algebraic = float(flowed.evaluate({k: float(v) for k, v in x.items()}))
+    algebraic = float(heat(f, t).evaluate(x))
     abs_disc = abs(numeric - algebraic)
     return ConvolutionCheck(numeric, algebraic, abs_disc, abs_disc / max(1.0, abs(algebraic)))
 

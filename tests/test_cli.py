@@ -202,9 +202,10 @@ class TestHypercontractivityScan:
         assert all(r["contractive"] for r in report["results"])
 
     def test_quadrature_route_passes_when_condition_holds(self, capsys):
+        # q = 3 is not even, so the left-hand norms need quadrature
         code, report, _ = run_cli(
             capsys, "hypercontractivity-scan",
-            "--p", "2", "--q", "4", "--s", "1", "--lambda", "1/2",
+            "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2",
             "--degree-cap", "4",
         )
         assert code == 0
@@ -318,17 +319,31 @@ class TestSharpnessProbe:
         assert abs(ratio - 0.9 * 945 ** 0.1) < 1e-12
 
     def test_inconclusive_when_the_battery_is_too_weak(self, capsys):
-        # condition barely fails; a degree-0 battery with a tiny epsilon
-        # cannot resolve the expansion against the norm tolerance
+        # condition barely fails; at q = 5/2 the expansion of 1 + x1/1000
+        # (~1.7e-8) is far below the Monte Carlo bound of the left-hand norm
         code, report, _ = run_cli(
             capsys, "sharpness-probe",
-            "--p", "2", "--q", "4", "--s", "1", "--lambda", "3/5",
+            "--p", "2", "--q", "5/2", "--s", "1", "--lambda", "83/100",
             "--degree-cap", "0", "--epsilon-grid", "1/1000",
         )
         assert code == 0
         assert report["verdict"] == "inconclusive"
         assert report["params"]["condition_holds"] is False
         assert report["params"]["witness"] is None
+
+    def test_exact_norms_resolve_a_tiny_expansion(self, capsys):
+        # p and q even: both norms come from exact moments, so an expansion
+        # of ~4e-8 relative is resolved against bounds of a few ulps
+        code, report, _ = run_cli(
+            capsys, "sharpness-probe",
+            "--p", "2", "--q", "4", "--s", "1", "--lambda", "3/5",
+            "--degree-cap", "0", "--epsilon-grid", "1/1000",
+        )
+        assert code == 0
+        assert report["verdict"] == "pass"
+        assert report["params"]["condition_holds"] is False
+        assert report["params"]["witness"] == "1/1000 x1 + 1"
+        assert all(r["method"] == "exact" for r in report["results"])
 
 
 class TestConvolutionCheck:

@@ -218,6 +218,14 @@ class TestLpNorm:
         est = lp_norm(Polynomial.constant(-3), 2, 1)
         assert est.value == 3.0
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rounded_constant_has_a_bound(self, p):
+        # float(1/3) is not 1/3, so a bound of 0 would not be a bound
+        est = lp_norm(Polynomial.constant(Fraction(1, 3)), p, 1)
+        assert est.method == ("exact" if p == 2 else "quadrature")
+        assert est.abs_error_bound > 0
+        assert abs(Fraction(est.value) - Fraction(1, 3)) <= Fraction(est.abs_error_bound)
+
     def test_linear_function_l2(self):
         est = lp_norm(parse("x1"), 2, 4)
         assert est.method == "exact"
