@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=(Fraction(1, 2), Fraction(1, 10)))
         p.add_argument("--budget", type=_int_at_least(1), default=401,
                        help="quadrature nodes per variable, for a non-even p or q")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = add("convolution-check", _cmd_convolution_check,
             "heat kernel integration vs the series, at one point")

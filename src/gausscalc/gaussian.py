@@ -209,20 +209,45 @@ def expectation_quadrature(integrand, variables, s, nodes_per_var: int) -> float
     return acc
 
 
+#: Rows of Monte Carlo draws held at once, so the cross-check's memory is
+#: one block whatever the sample count.
+_MC_BLOCK = 1 << 16
+
+
 def _monte_carlo_abs_power_mean(f: Polynomial, p: float, s, samples: int, seed: int):
-    """Monte Carlo estimate of E|f|^p with its standard error, Philox stream."""
+    """Monte Carlo estimate of E|f|^p with its standard error, Philox stream.
+
+    The samples are drawn and reduced _MC_BLOCK rows at a time from one
+    Philox(key=seed) generator; consecutive draws continue one stream, so
+    the samples are exactly those of a single draw of all of them.  Each
+    block's mean and centred sum of squares merge into the running ones
+    by the pairwise update of Chan, Golub & LeVeque (1979), which avoids
+    the cancellation of sum(v^2) - sum(v)^2 / n.  A |f|^p that overflows
+    in any block leaves the mean or the standard error non-finite.
+    """
     s = variance_of(s)
     variables = f.active_variables
     rng = np.random.Generator(np.random.Philox(key=seed))
-    draws = rng.normal(0.0, math.sqrt(s), size=(samples, len(variables)))
-    point = {var: draws[:, k] for k, var in enumerate(variables)}
-    values = np.abs(np.asarray(f.evaluate(point), dtype=float))
-    del draws, point
-    values **= p
-    values = np.broadcast_to(values, (samples,))
-    mean = float(values.mean())
-    std_err = float(values.std(ddof=1) / math.sqrt(samples))
-    return mean, std_err
+    scale = math.sqrt(s)
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, samples, _MC_BLOCK):
+        rows = min(_MC_BLOCK, samples - start)
+        draws = rng.normal(0.0, scale, size=(rows, len(variables)))
+        point = {var: draws[:, k] for k, var in enumerate(variables)}
+        values = np.abs(np.broadcast_to(f.evaluate(point), (rows,)))
+        del draws, point
+        with np.errstate(over="ignore", invalid="ignore"):
+            values **= p
+            block_mean = float(values.mean())
+            values -= block_mean
+            values *= values
+            block_m2 = float(values.sum())
+        total = count + rows
+        delta = block_mean - mean
+        mean += delta * (rows / total)
+        m2 += block_m2 + delta * delta * (count * rows / total)
+        count = total
+    return mean, math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
 
 
 def lp_norm(
@@ -241,8 +266,9 @@ def lp_norm(
     variable) plus a Monte Carlo cross-check whose 3-sigma standard
     error, pushed through the p-th root, is the reported bound; an
     estimate that is not finite raises ValueError.
-    A budget, when given, must be at least 1, and mc_samples at least 2
-    (a standard error needs two samples), whatever p is.
+    A budget, when given, must be at least 1, mc_samples at least 2 (a
+    standard error needs two samples), and seed a Philox key in
+    [0, 2**128), whatever p is.
     """
     p = float(p)
     if not p >= 1:
@@ -251,6 +277,8 @@ def lp_norm(
         raise ValueError(f"the node budget must be at least 1, got {budget}")
     if mc_samples < 2:
         raise ValueError(f"need at least 2 Monte Carlo samples, got {mc_samples}")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"the Monte Carlo seed must be in [0, 2**128), got {seed}")
     s = variance_of(s)
     even = p.is_integer() and int(p) % 2 == 0
     if f.degree <= 0:
@@ -277,9 +305,12 @@ def lp_norm(
 
     variables = f.active_variables
     nodes = 401 if budget is None else budget
-    mean = expectation_quadrature(
-        lambda point: np.abs(f.evaluate(point)) ** p, variables, s, nodes
-    )
+
+    def integrand(point):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.abs(f.evaluate(point)) ** p
+
+    mean = expectation_quadrature(integrand, variables, s, nodes)
     mc_mean, mc_std_err = _monte_carlo_abs_power_mean(f, p, s, mc_samples, seed)
     if not all(map(math.isfinite, (mean, mc_mean, mc_std_err))):
         raise ValueError(not_finite)

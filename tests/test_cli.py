@@ -266,6 +266,19 @@ class TestBatteryArguments:
         assert captured.out == ""
         assert f"{budget}-node rule" in captured.err and "2048 nodes" in captured.err
 
+    @pytest.mark.parametrize("seed", ["-1", "-200"])
+    def test_negative_seed_rejected(self, capsys, command, seed):
+        # Seeds are Philox keys.  -1 used to exit 0 (its only key below 0
+        # fell on the constant record, which draws nothing), and -200 exited
+        # 2 partway through the scan with numpy's message, which never named
+        # the seed.
+        code = main([command, "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2",
+                     f"--seed={seed}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--seed" in captured.err and "at least 0" in captured.err
+
 
 class TestSharpnessProbe:
     def test_witness_found_when_condition_fails(self, capsys):

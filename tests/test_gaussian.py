@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -310,9 +312,101 @@ class TestLpNorm:
     def test_non_finite_estimate_rejected(self):
         # |f|^3 overflows in float at the quadrature nodes and the samples;
         # a nan mean used to come out as a norm that compares as contractive.
+        # The overflow itself must not leak out as a numpy RuntimeWarning.
         f = heat(hermite({1: 82}, 1), Fraction(3, 4))
-        with pytest.raises(ValueError, match=r"not finite.*p = 3, deg f = 82"):
-            lp_norm(f, 3, Fraction(1, 4), mc_samples=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"not finite.*p = 3, deg f = 82"):
+                lp_norm(f, 3, Fraction(1, 4), mc_samples=1000)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("seed", [-1, -200, 2**128])
+    def test_seed_outside_the_philox_key_range_rejected(self, monkeypatch, p, seed):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran before the seed was checked")
+
+        monkeypatch.setattr(gausscalc.gaussian, "expectation_quadrature", no_quadrature)
+        with pytest.raises(ValueError, match=rf"seed .*got {seed}"):
+            lp_norm(parse("x1^2 + x2"), p, 1, seed=seed)
+
+    def test_largest_philox_key_accepted(self):
+        estimate = lp_norm(parse("x1^2 + x2"), 3, 1, budget=11, seed=2**128 - 1, mc_samples=10)
+        assert estimate.cross_check_samples == 10
+
+
+def _one_shot_abs_power_mean(f, p, s, samples, seed):
+    """Test oracle: E|f|^p and its standard error from one draw of every sample."""
+    variables = f.active_variables
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    draws = rng.normal(0.0, math.sqrt(s), size=(samples, len(variables)))
+    values = np.abs(f.evaluate({var: draws[:, k] for k, var in enumerate(variables)})) ** p
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(samples))
+
+
+class TestMonteCarloStream:
+    """The cross-check draws and reduces its samples one block at a time."""
+
+    BLOCK = gausscalc.gaussian._MC_BLOCK
+    ONE_VARIABLE = parse("x1^3 - 2 x1 + 1/3")
+    THREE_VARIABLES = parse("x1^2 x3 - 1/2 x2 + x3 + 2")
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_blocked_draws_are_the_one_shot_draw(self, width):
+        samples = 10**6 + 7
+        whole = np.random.Generator(np.random.Philox(key=7)).normal(size=(samples, width))
+        rng = np.random.Generator(np.random.Philox(key=7))
+        blocks = [rng.normal(size=(min(self.BLOCK, samples - start), width))
+                  for start in range(0, samples, self.BLOCK)]
+        assert np.array_equal(whole, np.concatenate(blocks))
+
+    @pytest.mark.parametrize("f", [ONE_VARIABLE, THREE_VARIABLES], ids=["1var", "3var"])
+    @pytest.mark.parametrize("samples", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 10**6])
+    def test_matches_the_one_shot_oracle(self, f, samples):
+        s, p, seed = Fraction(3, 2), 2.5, 11
+        mean, std_err = gausscalc.gaussian._monte_carlo_abs_power_mean(f, p, s, samples, seed)
+        expected_mean, expected_std_err = _one_shot_abs_power_mean(f, p, s, samples, seed)
+        assert mean == pytest.approx(expected_mean, rel=1e-12, abs=0)
+        assert std_err == pytest.approx(expected_std_err, rel=1e-12, abs=0)
+
+    def test_mean_far_above_the_spread_keeps_its_variance(self):
+        # sum(v^2) - sum(v)^2/n cancels here: mean ~1e8, standard deviation ~1.
+        f = parse("x1 + 100000000")
+        mean, std_err = gausscalc.gaussian._monte_carlo_abs_power_mean(f, 1.0, 1, 10**5, 3)
+        expected_mean, expected_std_err = _one_shot_abs_power_mean(f, 1.0, 1, 10**5, 3)
+        assert mean == pytest.approx(expected_mean, rel=1e-12, abs=0)
+        assert std_err == pytest.approx(expected_std_err, rel=1e-9, abs=0)
+
+    @staticmethod
+    def _traced_peak(f, samples):
+        tracemalloc.start()
+        try:
+            gausscalc.gaussian._monte_carlo_abs_power_mean(f, 3.0, 1, samples, 5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("f, limit_mb", [(ONE_VARIABLE, 4), (THREE_VARIABLES, 8)],
+                             ids=["1var", "3var"])
+    def test_memory_is_one_block_whatever_the_sample_count(self, f, limit_mb):
+        peak = self._traced_peak(f, 10**6)
+        assert peak <= limit_mb * 2**20
+        assert self._traced_peak(f, 4 * 10**6) <= peak + 2**16
+
+    def test_an_overflow_in_the_last_block_alone_is_not_lost(self):
+        # f = x1 / c with |x1| < c in every sample before the stream's
+        # largest |x1|, at index r in a later, partial block: there |f|^p
+        # overflows and everywhere before it |f|^p < 1.
+        seed, draws = 2, 4 * self.BLOCK
+        x = np.abs(np.random.Generator(np.random.Philox(key=seed)).normal(size=draws))
+        r = int(np.argmax(x))
+        assert r >= self.BLOCK and (r + 1) % self.BLOCK, "pick another seed"
+        below, top = float(x[:r].max()), float(x[r])
+        c = Fraction(math.sqrt(below * top))
+        p = 2000.0 / math.log(top / float(c))
+        f = Polynomial.variable(1) * (1 / c)
+        estimate = gausscalc.gaussian._monte_carlo_abs_power_mean
+        assert all(map(math.isfinite, estimate(f, p, 1, r, seed)))
+        assert not all(map(math.isfinite, estimate(f, p, 1, r + 1, seed)))
 
 
 def _brackets(estimate, p, mean):
