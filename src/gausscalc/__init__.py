@@ -13,9 +13,7 @@ symbolic layer through an independent, measure-level route.
 from .gaussian import (
     MC_DEFAULT_SAMPLES,
     NODE_CAP,
-    CharCheck,
     LpEstimate,
-    char_check,
     expectation_quadrature,
     gauss_hermite_rule,
     gaussian_moment,
@@ -45,7 +43,6 @@ from .poly import (
 from .semigroups import (
     CheckResult,
     ConvolutionCheck,
-    HermiteExpansion,
     VarianceParams,
     dilate,
     euler_d,
@@ -70,11 +67,9 @@ __all__ = [
     "NODE_CAP",
     "DIMENSION_CAP",
     "BchReport",
-    "CharCheck",
     "CheckResult",
     "ConvolutionCheck",
     "GradedBasis",
-    "HermiteExpansion",
     "LpEstimate",
     "MultiIndex",
     "OperatorMatrix",
@@ -83,7 +78,6 @@ __all__ = [
     "VarianceParams",
     "as_fraction",
     "bch_check",
-    "char_check",
     "dilate",
     "euler_d",
     "euler_matrix",

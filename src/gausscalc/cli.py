@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .gaussian import inner_product, lp_norm, variance_of
 from .matrixrep import bch_check, graded_basis
-from .poly import MultiIndex, Polynomial, PolyParseError, as_fraction, parse, serialize
+from .poly import MultiIndex, Polynomial, as_fraction, parse, serialize
 from .semigroups import (
     VarianceParams,
     heat,
@@ -39,45 +39,53 @@ def _rat(x) -> str:
     return str(Fraction(x))
 
 
-def _rational_arg(text: str) -> Fraction:
-    try:
-        return as_fraction(text)
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _arg(convert, accept=None, requirement=""):
+    """argparse type: convert(text), refused with `requirement` unless accept(value).
+
+    A ValueError or TypeError from convert becomes the usage error verbatim.
+    """
+
+    def parse_arg(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, TypeError) as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        if accept is not None and not accept(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {value}")
+        return value
+
+    return parse_arg
 
 
-def _positive_rational_arg(text: str) -> Fraction:
-    value = _rational_arg(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _number(kind, what):
+    """kind(text), whose ValueError quotes the text as not being `what`."""
+
+    def convert(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValueError(f"not {what}: {text!r}") from None
+
+    return convert
 
 
-def _poly_arg(text: str) -> Polynomial:
-    try:
-        return parse(text)
-    except PolyParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _alpha_arg(text: str) -> MultiIndex:
+def _multi_index(text: str) -> MultiIndex:
+    """'2,0,3' as the multi-index of x1^2 x3^3."""
     try:
         exponents = [int(part) for part in text.split(",")]
         if any(e < 0 for e in exponents):
             raise ValueError
-        return MultiIndex({i + 1: e for i, e in enumerate(exponents) if e})
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"expected comma-separated nonnegative exponents like '2,0,3', got {text!r}"
-        )
+        ) from None
+    return MultiIndex({i + 1: e for i, e in enumerate(exponents) if e})
 
 
-def _point_arg(text: str) -> dict:
+def _point(text: str) -> dict:
     """Parse 'x1=1/2,x2=-3' into {1: Fraction(1,2), 2: Fraction(-3)}."""
     point = {}
-    if not text.strip():
-        return point
-    for chunk in text.split(","):
+    for chunk in text.split(",") if text.strip() else ():
         try:
             name, raw = chunk.split("=", 1)
             name = name.strip()
@@ -87,53 +95,31 @@ def _point_arg(text: str) -> dict:
             if var < 1:
                 raise ValueError
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected assignments like 'x1=1/2,x2=-3', got {chunk!r}"
-            )
+            raise ValueError(f"expected assignments like 'x1=1/2,x2=-3', got {chunk!r}") from None
         try:
             point[var] = as_fraction(raw)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be a finite rational, got {raw!r}")
+            raise ValueError(f"{name} must be a finite rational, got {raw!r}") from None
     return point
-
-
-def _grid_arg(text: str) -> tuple:
-    try:
-        return tuple(as_fraction(part) for part in text.split(","))
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _gt1_rational_arg(text: str) -> Fraction:
-    value = _rational_arg(text)
-    if value <= 1:
-        raise argparse.ArgumentTypeError(f"must be greater than 1, got {value}")
-    return value
 
 
 def _int_at_least(lowest: int):
     """argparse type for an integer >= lowest."""
-
-    def parse_int(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if value < lowest:
-            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
-        return value
-
-    return parse_int
+    return _arg(_number(int, "an integer"), lambda v: v >= lowest, f"must be at least {lowest}")
 
 
-def _positive_float_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
-    return value
+_rational_arg = _arg(as_fraction)
+_positive_rational_arg = _arg(as_fraction, lambda v: v > 0, "must be positive")
+_gt1_rational_arg = _arg(as_fraction, lambda v: v > 1, "must be greater than 1")
+_positive_float_arg = _arg(
+    _number(float, "a number"), lambda v: 0 < v < math.inf, "must be positive and finite"
+)
+# parse is looked up per call, so a rebinding of this module's name (as
+# bench/tracer.py does to count calls) is seen.
+_poly_arg = _arg(lambda text: parse(text))
+_grid_arg = _arg(lambda text: tuple(as_fraction(part) for part in text.split(",")))
+_alpha_arg = _arg(_multi_index)
+_point_arg = _arg(_point)
 
 
 def _params_from_args(args) -> VarianceParams:
@@ -149,6 +135,17 @@ def _params_from_args(args) -> VarianceParams:
 # -- subcommand handlers -----------------------------------------------------
 
 
+def _check_record(name, result) -> dict:
+    """The report record of one CheckResult: both sides, witness, verdict."""
+    return {
+        "name": name,
+        "lhs": serialize(result.lhs),
+        "rhs": serialize(result.rhs),
+        "witness": serialize(result.witness),
+        "ok": result.ok,
+    }
+
+
 def _cmd_check_identity(args):
     params = _params_from_args(args)
     result = verify_ident2(args.f, params, float_tol=args.tol)
@@ -161,20 +158,11 @@ def _cmd_check_identity(args):
         "tau": params.tau,
         "tol": args.tol,
     }
-    record = {
-        "name": "dilated heat flow vs Hermite coefficient decay",
-        "lhs": serialize(result.lhs),
-        "rhs": serialize(result.rhs),
-        "witness": serialize(result.witness),
-        "mode": result.mode,
-        "max_rel_error": result.max_rel_error,
-        "ok": result.ok,
-    }
+    record = _check_record("dilated heat flow vs Hermite coefficient decay", result)
+    record.update(mode=result.mode, max_rel_error=result.max_rel_error)
     verdict = "pass" if result.ok else "fail"
     summary = (
-        f"{verdict}: both sides {serialize(result.lhs)}"
-        if result.ok
-        else f"{verdict}: witness {serialize(result.witness)}"
+        f"pass: both sides {record['lhs']}" if result.ok else f"fail: witness {record['witness']}"
     )
     return _report("check-identity", report_params, [record], verdict), summary
 
@@ -183,20 +171,8 @@ def _cmd_check_commutator(args):
     first = verify_commutator(args.f)
     nested = verify_nested_commutator(args.f)
     records = [
-        {
-            "name": "bracket of Laplacian with Euler equals twice Laplacian",
-            "lhs": serialize(first.lhs),
-            "rhs": serialize(first.rhs),
-            "witness": serialize(first.witness),
-            "ok": first.ok,
-        },
-        {
-            "name": "nested bracket vanishes",
-            "lhs": serialize(nested.lhs),
-            "rhs": serialize(nested.rhs),
-            "witness": serialize(nested.witness),
-            "ok": nested.ok,
-        },
+        _check_record("bracket of Laplacian with Euler equals twice Laplacian", first),
+        _check_record("nested bracket vanishes", nested),
     ]
     verdict = "pass" if first.ok and nested.ok else "fail"
     return (
@@ -407,12 +383,7 @@ def _cmd_convolution_check(args):
 
 
 def _report(command, params, results, verdict, seed=None):
-    report = {
-        "command": command,
-        "params": params,
-        "results": results,
-        "verdict": verdict,
-    }
+    report = {"command": command, "params": params, "results": results, "verdict": verdict}
     if seed is not None:
         report["seed"] = seed
     return report

@@ -57,15 +57,6 @@ class LpEstimate:
     cross_check_samples: int = 0
 
 
-@dataclass(frozen=True)
-class CharCheck:
-    """Quadrature vs closed form for E[cos(sum theta_k x_k)]."""
-
-    lhs: float
-    rhs: float
-    discrepancy: float
-
-
 @functools.lru_cache(maxsize=None)
 def _even_double_factorial_part(e: int) -> int:
     """(e-1)!! for even e >= 0, i.e. (2k)!/(2^k k!) with e = 2k."""
@@ -330,25 +321,3 @@ def lp_norm(
         cross_check_samples=mc_samples,
     )
 
-
-def char_check(theta, s, budget: int = 64) -> CharCheck:
-    """Compare E[cos(sum theta_k x_k)] against exp(-s |theta|^2 / 2).
-
-    theta is a sparse map {variable index: real}; the expectation is
-    computed by tensor quadrature over the variables with nonzero theta.
-    """
-    s = variance_of(s)
-    theta = {int(k): float(v) for k, v in dict(theta).items() if float(v) != 0.0}
-    for k in theta:
-        if k < 1:
-            raise ValueError(f"variable index must be at least 1, got {k}")
-
-    def integrand(point):
-        phase = 0.0
-        for var, t in theta.items():
-            phase = phase + t * point[var]
-        return np.cos(phase)
-
-    lhs = expectation_quadrature(integrand, theta.keys(), s, budget)
-    rhs = math.exp(-float(s) * sum(t * t for t in theta.values()) / 2.0)
-    return CharCheck(lhs, rhs, abs(lhs - rhs))

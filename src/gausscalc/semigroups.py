@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
 
 from .gaussian import expectation_quadrature, variance_of
 from .poly import MultiIndex, Polynomial, as_fraction
@@ -138,54 +137,14 @@ def hermite(alpha, s) -> Polynomial:
     return heat(Polynomial.monomial(alpha), -as_fraction(s))
 
 
-@dataclass(frozen=True, eq=True)
-class HermiteExpansion:
-    """Coefficients c_alpha of f = sum c_alpha h_{alpha,s} at a fixed s."""
-
-    base_variance: Fraction
-    coeffs: object  # read-only mapping MultiIndex -> nonzero Fraction
-
-    def coefficient(self, alpha) -> Fraction:
-        if not isinstance(alpha, MultiIndex):
-            alpha = MultiIndex(alpha)
-        return self.coeffs.get(alpha, _F0)
-
-    def items(self):
-        return self.coeffs.items()
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def resum(self) -> Polynomial:
-        """Reassemble sum c_alpha h_{alpha,s}; inverts hermite_expand exactly.
-
-        By linearity this is backward heat by s applied to the polynomial
-        whose monomial coefficients are the c_alpha.
-        """
-        return heat(Polynomial._make(dict(self.coeffs)), -self.base_variance)
-
-    def weighted_norm_squared(self, variance) -> Fraction:
-        """sum c_alpha^2 alpha! v^{|alpha|}: the L^2(mu_v) squared norm of
-        the polynomial with these coefficients on the h_{alpha,v} basis."""
-        v = variance_of(variance)
-        return sum(
-            (c * c * alpha.factorial() * v**alpha.degree for alpha, c in self.coeffs.items()),
-            _F0,
-        )
-
-    def norm_squared(self) -> Fraction:
-        """The L^2(mu_s) squared norm of resum(), via the basis weights."""
-        return self.weighted_norm_squared(self.base_variance)
-
-
-def hermite_expand(f: Polynomial, s) -> HermiteExpansion:
-    """Coefficients of f in the h_{alpha,s} basis.
+def hermite_expand(f: Polynomial, s) -> Polynomial:
+    """Coefficients of f in the h_{alpha,s} basis, as a polynomial.
 
     Forward heat by s turns each h_{alpha,s} back into x^alpha, so the
-    monomial coefficients of heat(f, s) are exactly the c_alpha.
+    monomial coefficients of heat(f, s) are exactly the c_alpha; backward
+    heat by s, heat(c, -s), resums them into f.
     """
-    s = as_fraction(s)
-    return HermiteExpansion(s, MappingProxyType(heat(f, s).terms))
+    return heat(f, as_fraction(s))
 
 
 def hermite_semigroup(f: Polynomial, s, lam) -> Polynomial:
@@ -335,6 +294,12 @@ def verify_nested_commutator(f: Polynomial) -> CheckResult:
 # -- contraction bookkeeping and the numeric oracle --------------------------
 
 
+def _weighted_norm_squared(coeffs: Polynomial, v: Fraction) -> Fraction:
+    """sum c_alpha^2 alpha! v^{|alpha|}: the L^2(mu_v) squared norm of
+    sum c_alpha h_{alpha,v}, with the c_alpha the monomial coefficients."""
+    return sum((c * c * alpha.factorial() * v**alpha.degree for alpha, c in coeffs.items()), _F0)
+
+
 def l2_contraction_ratio(f: Polynomial, s, t) -> Fraction:
     """||heat(f,t)||^2 in L^2(mu_{s-t}) over ||f||^2 in L^2(mu_s), exact.
 
@@ -349,8 +314,8 @@ def l2_contraction_ratio(f: Polynomial, s, t) -> Fraction:
         raise ValueError(f"need 0 < t < s, got t = {t}, s = {s}")
     if f.is_zero:
         raise ValueError("the ratio is undefined for the zero polynomial")
-    expansion = hermite_expand(f, s)
-    return expansion.weighted_norm_squared(s - t) / expansion.weighted_norm_squared(s)
+    coeffs = hermite_expand(f, s)
+    return _weighted_norm_squared(coeffs, s - t) / _weighted_norm_squared(coeffs, s)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ import helpers
 from gausscalc.gaussian import (
     MC_DEFAULT_SAMPLES,
     NODE_CAP,
-    char_check,
     expectation_quadrature,
     gauss_hermite_rule,
     gaussian_moment,
@@ -477,24 +476,3 @@ class TestEvenLpNorm:
         with pytest.raises(ValueError, match=r"not finite.*p = 2, deg f = 700"):
             lp_norm(parse("x1^700"), 2, 1)
 
-
-class TestCharCheck:
-    def test_zero_frequency(self):
-        result = char_check({}, 3)
-        assert result.lhs == result.rhs == 1.0
-        assert result.discrepancy == 0.0
-
-    def test_single_mode_unit_variance(self):
-        result = char_check({1: 1.0}, 1)
-        assert abs(result.rhs - math.exp(-0.5)) < 1e-15
-        assert result.discrepancy < 1e-12
-
-    def test_two_modes_product_structure(self):
-        result = char_check({1: 1.0, 2: 1.0}, 2)
-        assert abs(result.rhs - math.exp(-2.0)) < 1e-15
-        assert result.discrepancy < 1e-12
-
-    def test_zero_components_are_dropped(self):
-        full = char_check({1: 0.7, 2: 0.0}, 1)
-        trimmed = char_check({1: 0.7}, 1)
-        assert full.lhs == trimmed.lhs
