@@ -96,6 +96,8 @@ def _point(text: str) -> dict:
                 raise ValueError
         except ValueError:
             raise ValueError(f"expected assignments like 'x1=1/2,x2=-3', got {chunk!r}") from None
+        if var in point:
+            raise ValueError(f"x{var} is assigned more than once in {text!r}")
         try:
             point[var] = as_fraction(raw)
         except ValueError:
@@ -326,6 +328,14 @@ def _classify(command, condition_holds, witness, count, degree_cap):
 def _cmd_contraction(args):
     if not 0 < args.lam <= 1:
         raise ValueError(f"need a scale in (0, 1], got {args.lam}")
+    # Record idx of the battery draws with the Philox keys seed + 100 idx (+ 1).
+    size = args.degree_cap + 1 + len(args.epsilon_grid)
+    largest_seed = 2**128 - 2 - 100 * (size - 1)
+    if args.seed > largest_seed:
+        raise ValueError(
+            f"--seed must be at most {largest_seed} for a battery of {size} functions, "
+            f"got {args.seed}"
+        )
     scale = VarianceParams.from_scale(args.s, args.lam)
     # Contractivity holds exactly when (q-1)/(p-1) <= s/(s-t) = 1/lam^2.
     condition_holds = (args.q - 1) * scale.lam_sq <= (args.p - 1)

@@ -125,17 +125,39 @@ def inner_product(f: Polynomial, g: Polynomial, s) -> Fraction:
 _QUAD_BLOCK_LIMIT = 1 << 22
 
 
+#: Magnitude at which the Hermite recurrence rescales a node's values.
+_RESCALE = 1e150
+
+
+def _orthonormal_hermite(n: int, x):
+    """(p_{n-1}(x), p_n(x), r): orthonormal Hermite values, both divided by _RESCALE^r."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    rescales = np.zeros_like(x)
+    for k in range(n):
+        p_prev, p = p, (x * p - math.sqrt(k) * p_prev) / math.sqrt(k + 1)
+        big = np.abs(p) > _RESCALE
+        p_prev[big] /= _RESCALE
+        p[big] /= _RESCALE
+        rescales += big
+    return p_prev, p, rescales
+
+
 @functools.lru_cache(maxsize=128)
 def gauss_hermite_rule(n: int):
     """Nodes and weights for the standard normal, exact through degree 2n-1.
 
-    Golub-Welsch: eigenvalues of the symmetric tridiagonal Jacobi matrix
-    of the probabilists' Hermite recurrence (off-diagonal sqrt(k)), with
-    weights the squared first components of the normalized eigenvectors.
-    The Jacobi matrix is held dense and solved by numpy's eigh, so a rule
-    costs O(n^3) time and O(n^2) memory, once per n and process; an n
-    with n^2 above _QUAD_BLOCK_LIMIT (n > 2048) is refused.
-    The returned arrays are read-only.
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix of the probabilists' Hermite recurrence (off-diagonal
+    sqrt(k)), refined by one Newton step on p_n.  The weights come from
+    the orthonormal recurrence sqrt(k+1) p_{k+1} = x p_k - sqrt(k) p_{k-1}
+    as w_i = 1 / (n p_{n-1}(x_i)^2), so each is accurate relative to
+    itself down to the float range (the squared first eigenvector
+    components are accurate only relative to the largest weight).  The
+    recurrence divides a node's values by _RESCALE whenever they pass
+    it, so nothing overflows.  The Jacobi matrix is held dense and solved
+    by numpy's eigvalsh, so a rule costs O(n^3) time and O(n^2) memory,
+    once per n and process; an n with n^2 above _QUAD_BLOCK_LIMIT
+    (n > 2048) is refused.  The returned arrays are read-only.
     """
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
@@ -146,8 +168,11 @@ def gauss_hermite_rule(n: int):
             f"{math.isqrt(_QUAD_BLOCK_LIMIT)} nodes)"
         )
     off_diag = np.sqrt(np.arange(1, n, dtype=float))
-    nodes, vectors = np.linalg.eigh(np.diag(off_diag, 1) + np.diag(off_diag, -1))
-    weights = vectors[0] ** 2
+    nodes = np.linalg.eigvalsh(np.diag(off_diag, 1) + np.diag(off_diag, -1))
+    p_prev, p_last, _ = _orthonormal_hermite(n, nodes)
+    nodes -= p_last / (math.sqrt(n) * p_prev)  # Newton: p_n' = sqrt(n) p_{n-1}
+    p_prev, _, rescales = _orthonormal_hermite(n, nodes)
+    weights = 1.0 / (n * p_prev * p_prev) * _RESCALE ** (-2.0 * rescales)
     weights /= weights.sum()  # constants must integrate to exactly 1
     nodes.flags.writeable = False
     weights.flags.writeable = False

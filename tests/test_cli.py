@@ -279,6 +279,32 @@ class TestBatteryArguments:
         assert captured.out == ""
         assert "--seed" in captured.err and "at least 0" in captured.err
 
+    def test_seed_overflowing_a_derived_key_rejected_up_front(self, capsys, command):
+        # The default battery has 9 functions; the last record's second key,
+        # seed + 801, would pass 2^128 - 1.  The scan used to run its first
+        # records and then name a derived key instead of --seed.
+        code = main([command, "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2",
+                     "--seed", "340282366920938463463374607431768211300"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--seed" in captured.err
+        assert str(2**128 - 2 - 800) in captured.err
+
+    def test_largest_seed_runs(self, capsys, command):
+        # Two functions: the keys run up to seed + 101 = 2^128 - 1.
+        argv = [command, "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2",
+                "--degree-cap", "0", "--epsilon-grid", "1/2"]
+        largest = 2**128 - 2 - 100
+        code, report, _ = run_cli(capsys, *argv, "--seed", str(largest))
+        assert code == 0
+        assert report["seed"] == largest
+        assert [r["method"] for r in report["results"]] == ["quadrature", "quadrature"]
+        code, report, err = run_cli(capsys, *argv, "--seed", str(largest + 1))
+        assert code == 2
+        assert report is None
+        assert "--seed" in err
+
 
 class TestSharpnessProbe:
     def test_witness_found_when_condition_fails(self, capsys):
@@ -378,6 +404,15 @@ class TestConvolutionCheck:
     def test_nonpositive_time_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "convolution-check", "--f", "x1", "--t", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("point", ["x1=1,x1=2", "x1=1, x01=2"])
+    def test_repeated_variable_rejected(self, capsys, point):
+        # The last assignment used to win silently.
+        code = main(["convolution-check", "--f", "x1^2", "--t", "1", "--x", point])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "x1 is assigned more than once" in captured.err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_point_rejected(self, capsys, value):

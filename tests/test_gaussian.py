@@ -138,6 +138,17 @@ class TestQuadratureRule:
             exact = math.prod(range(1, 2 * k, 2))
             assert abs(float(np.dot(w, x ** (2 * k))) - exact) <= 100 * 2.0**-52 * exact
 
+    @pytest.mark.parametrize("n", [40, 64, 401, 2048])
+    def test_large_rules_keep_relative_accuracy(self, n):
+        # The tail weights must be accurate relative to themselves: E[x^2k]
+        # at large k is carried by nodes whose weights are far below the
+        # largest one.  2k stays <= 120 at n = 2048 so x^2k is finite.
+        x, w = gauss_hermite_rule(n)
+        for k in range(min(2 * n - 1, 158 if n < 2048 else 120) // 2 + 1):
+            exact = math.prod(range(1, 2 * k, 2))
+            numeric = math.fsum((w * x ** (2 * k)).tolist())
+            assert abs(numeric - exact) <= 2e-14 * exact, (n, 2 * k)
+
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
             gauss_hermite_rule(0)
@@ -226,6 +237,13 @@ class TestLpNorm:
         assert est.method == ("exact" if p == 2 else "quadrature")
         assert est.abs_error_bound > 0
         assert abs(Fraction(est.value) - Fraction(1, 3)) <= Fraction(est.abs_error_bound)
+
+    def test_high_degree_fractional_norm(self):
+        # ||x1^16||_3 = (E|x|^48)^(1/3) = (47!!)^(1/3): the 401-node
+        # quadrature sees the rule's tail weights
+        est = lp_norm(parse("x1^16"), 3, 1)
+        exact = math.prod(range(1, 48, 2)) ** (1 / 3)
+        assert abs(est.value - exact) <= 1e-12 * exact
 
     def test_linear_function_l2(self):
         est = lp_norm(parse("x1"), 2, 4)
