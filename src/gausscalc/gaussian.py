@@ -345,4 +345,3 @@ def lp_norm(
         cross_check=cross,
         cross_check_samples=mc_samples,
     )
-

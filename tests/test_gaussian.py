@@ -493,4 +493,3 @@ class TestEvenLpNorm:
         # ||x1^700||_2 = sqrt(1399!!) is about 1e1000
         with pytest.raises(ValueError, match=r"not finite.*p = 2, deg f = 700"):
             lp_norm(parse("x1^700"), 2, 1)
-
