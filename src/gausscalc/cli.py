@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -57,22 +58,24 @@ def _arg(convert, accept=None, requirement=""):
     return parse_arg
 
 
-def _number(kind, what):
-    """kind(text), whose ValueError quotes the text as not being `what`."""
+def _integer(text: str) -> int:
+    """An optional '-' then ASCII digits; no '+', '_', spaces or other digits."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
-    def convert(text: str):
-        try:
-            return kind(text)
-        except ValueError:
-            raise ValueError(f"not {what}: {text!r}") from None
 
-    return convert
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
 
 
 def _multi_index(text: str) -> MultiIndex:
     """'2,0,3' as the multi-index of x1^2 x3^3."""
     try:
-        exponents = [int(part) for part in text.split(",")]
+        exponents = [_integer(part.strip()) for part in text.split(",")]
         if any(e < 0 for e in exponents):
             raise ValueError
     except ValueError:
@@ -91,7 +94,7 @@ def _point(text: str) -> dict:
             name = name.strip()
             if not name.startswith("x"):
                 raise ValueError
-            var = int(name[1:])
+            var = _integer(name[1:])
             if var < 1:
                 raise ValueError
         except ValueError:
@@ -107,15 +110,13 @@ def _point(text: str) -> dict:
 
 def _int_at_least(lowest: int):
     """argparse type for an integer >= lowest."""
-    return _arg(_number(int, "an integer"), lambda v: v >= lowest, f"must be at least {lowest}")
+    return _arg(_integer, lambda v: v >= lowest, f"must be at least {lowest}")
 
 
 _rational_arg = _arg(as_fraction)
 _positive_rational_arg = _arg(as_fraction, lambda v: v > 0, "must be positive")
 _gt1_rational_arg = _arg(as_fraction, lambda v: v > 1, "must be greater than 1")
-_positive_float_arg = _arg(
-    _number(float, "a number"), lambda v: 0 < v < math.inf, "must be positive and finite"
-)
+_positive_float_arg = _arg(_float, lambda v: 0 < v < math.inf, "must be positive and finite")
 # parse is looked up per call, so a rebinding of this module's name (as
 # bench/tracer.py does to count calls) is seen.
 _poly_arg = _arg(lambda text: parse(text))
@@ -430,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("bch-check", _cmd_bch_check,
             "exponential factorization on a graded matrix basis")
-    p.add_argument("--m", type=int, required=True, help="variable count")
-    p.add_argument("--n", type=int, required=True, help="max degree")
+    p.add_argument("--m", type=_int_at_least(1), required=True, help="variable count")
+    p.add_argument("--n", type=_int_at_least(0), required=True, help="max degree")
     p.add_argument("--s", type=_positive_rational_arg, required=True)
     p.add_argument("--lambda", dest="lam", type=_positive_rational_arg, required=True)
     p.add_argument("--tol", type=_positive_float_arg, default=1e-10)
@@ -450,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("nonclosability-demo", _cmd_nonclosability_demo,
             "vanishing sequence whose Laplacian stays constant")
     p.add_argument("--s", type=_positive_rational_arg, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--t", type=_rational_arg, default=Fraction(1, 2))
 
     for name, help_text in (
@@ -478,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_positive_rational_arg, required=True)
     p.add_argument("--x", type=_point_arg, default={},
                    help="evaluation point like 'x1=1/2,x2=-3' (missing variables are 0)")
-    p.add_argument("--nodes", type=int, default=None,
+    p.add_argument("--nodes", type=_int_at_least(1), default=None,
                    help="quadrature nodes per variable (default: enough for deg f, plus margin)")
     p.add_argument("--tol", type=_positive_float_arg, default=1e-10,
                    help="relative discrepancy allowed")

@@ -29,8 +29,10 @@ one Laplacian factor per identity (two Taylor sums), four in all.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -42,16 +44,6 @@ DIMENSION_CAP = 5000
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def _exponent_vectors(m: int, d: int):
-    """All length-m tuples of nonnegative ints summing to d."""
-    if m == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in _exponent_vectors(m - 1, d - first):
-            yield (first,) + rest
 
 
 @dataclass(frozen=True)
@@ -75,7 +67,7 @@ class GradedBasis:
 
 
 def graded_basis(m: int, n: int) -> GradedBasis:
-    """Build the basis for m variables up to total degree n.
+    """Build the basis for m variables up to total degree n, sorted by the order key.
 
     Rejects dimensions above DIMENSION_CAP before generating anything.
     """
@@ -88,15 +80,15 @@ def graded_basis(m: int, n: int) -> GradedBasis:
         raise ValueError(
             f"basis dimension C({m + n},{n}) = {dim} exceeds the cap of {DIMENSION_CAP}"
         )
-    monomials = []
-    for d in range(n + 1):
-        block = [
-            MultiIndex({i + 1: e for i, e in enumerate(vec) if e})
-            for vec in _exponent_vectors(m, d)
-        ]
-        block.sort()
-        monomials.extend(block)
-    assert len(monomials) == dim
+    # A multiset of n picks from {0, 1, ..., m} is one monomial of degree
+    # <= n, with 0 standing for an unused pick.
+    monomials = sorted(
+        (
+            MultiIndex(Counter(v for v in picks if v))
+            for picks in combinations_with_replacement(range(m + 1), n)
+        ),
+        key=MultiIndex.order_key,
+    )
     index = {alpha: j for j, alpha in enumerate(monomials)}
     return GradedBasis(m, n, tuple(monomials), index)
 

@@ -65,8 +65,7 @@ class MultiIndex:
     Stored sparsely as a tuple of (variable index, exponent) pairs with
     indices strictly increasing and exponents positive.  The empty
     multi-index is the monomial 1.  Ordering is graded lexicographic
-    with x1 > x2 > ...: compare total degree first, then the exponent
-    vectors left to right.
+    with x1 > x2 > ..., as defined by `order_key`.
     """
 
     __slots__ = ("_entries", "_degree")
@@ -155,29 +154,21 @@ class MultiIndex:
     def __hash__(self) -> int:
         return hash(self._entries)
 
+    def order_key(self) -> tuple:
+        """The graded-lex sort key (degree, -v1, e1, -v2, e2, ...).
+
+        At the first variable where two supports differ, the one with the
+        smaller index, or the larger exponent on it, is the larger monomial.
+        """
+        key = [self._degree]
+        for v, e in self._entries:
+            key += (-v, e)
+        return tuple(key)
+
     def __lt__(self, other) -> bool:
         if not isinstance(other, MultiIndex):
             return NotImplemented
-        if self._degree != other._degree:
-            return self._degree < other._degree
-        # Same degree: walk both supports in increasing variable order.
-        # At the first variable where the exponents differ, the monomial
-        # with the larger exponent is the larger one (x1 > x2 > ...).
-        a, b = self._entries, other._entries
-        i = j = 0
-        while i < len(a) and j < len(b):
-            va, ea = a[i]
-            vb, eb = b[j]
-            if va == vb:
-                if ea != eb:
-                    return ea < eb
-                i += 1
-                j += 1
-            elif va < vb:
-                return False  # self has positive exponent where other has 0
-            else:
-                return True
-        return i == len(a) and j < len(b)
+        return self.order_key() < other.order_key()
 
     def __repr__(self) -> str:
         return f"MultiIndex({dict(self._entries)!r})"
@@ -294,7 +285,7 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms as (alpha, coeff) pairs, largest monomial first."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
+        return sorted(self._terms.items(), key=lambda kv: kv[0].order_key(), reverse=True)
 
     # -- ring operations ------------------------------------------------
 
@@ -465,9 +456,9 @@ def _horner(terms, point, zero):
 # -- text format ----------------------------------------------------------
 
 _WS_RE = re.compile(r"\s*")
-_NUMBER_RE = re.compile(r"(?P<num>\d+)(?P<slash>\s*/\s*(?P<den>\d+)?)?")
-_VAR_RE = re.compile(r"x(\d+)")
-_DIGITS_RE = re.compile(r"\d+")
+_NUMBER_RE = re.compile(r"(?P<num>[0-9]+)(?P<slash>\s*/\s*(?P<den>[0-9]+)?)?")
+_VAR_RE = re.compile(r"x([0-9]+)")
+_DIGITS_RE = re.compile(r"[0-9]+")
 
 _MINUS_CHARS = "-−"  # accept the unicode minus sign on input
 _SIGN_CHARS = "+" + _MINUS_CHARS
