@@ -496,10 +496,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         report, summary = args.handler(args)
-    except (ValueError, TypeError) as exc:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except (ValueError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.json_out:
         try:
             with open(args.json_out, "w", encoding="utf-8") as handle:

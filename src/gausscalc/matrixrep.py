@@ -368,15 +368,21 @@ def bch_check(s, lam, basis: GradedBasis, tol: float = 1e-10) -> BchReport:
 
     # Both float identities share e^{tau(A+B)} = e^{-tau N_s} and e^{-tau D},
     # with A = s*Laplacian, B = -Euler: A + B = -N_s and e^{tau B} = e^{-tau D}.
-    lhs = expm(tau * (s_f * lap_f - eul_f))
-    decay_f = expm(-tau * eul_f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = expm(tau * (s_f * lap_f - eul_f))
+        decay_f = expm(-tau * eul_f)
 
-    # (i) [A, B] = -2A gives the coefficient c of A from the bracket alone.
-    coeff = (math.exp(-2.0 * tau) - 1.0) / (-2.0)
-    bch_rel_err = _rel_gap(lhs, decay_f @ expm((coeff * s_f) * lap_f))
+        # (i) [A, B] = -2A gives the coefficient c of A from the bracket alone.
+        coeff = (math.exp(-2.0 * tau) - 1.0) / (-2.0)
+        bch_rel_err = _rel_gap(lhs, decay_f @ expm((coeff * s_f) * lap_f))
 
-    # (ii) the same factor of A from the exact time t = s(1 - lam^2).
-    bch2_rel_err = _rel_gap(lhs, decay_f @ expm((float(t) / 2.0) * lap_f))
+        # (ii) the same factor of A from the exact time t = s(1 - lam^2).
+        bch2_rel_err = _rel_gap(lhs, decay_f @ expm((float(t) / 2.0) * lap_f))
+    if not (math.isfinite(bch_rel_err) and math.isfinite(bch2_rel_err)):
+        raise ValueError(
+            f"float exponentials not finite on a basis of dimension {basis.size} "
+            f"at s = {s}, lambda = {lam}"
+        )
 
     scalar_lhs = -(math.exp(-2.0 * tau) - 1.0) / 2.0
     scalar_rhs = float(t / (2 * s))

@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .gaussian import expectation_quadrature, variance_of
 from .poly import MultiIndex, Polynomial, as_fraction
 
@@ -348,14 +350,21 @@ def heat_convolution_oracle(f: Polynomial, t, x, nodes: int) -> ConvolutionCheck
             f"{nodes} nodes per variable cannot integrate degree {degree}; "
             f"need at least {min_nodes}"
         )
-    shift = {v: float(x.get(v, 0)) for v in variables}
 
     def integrand(point):
         return f.evaluate({v: shift[v] + point[v] for v in variables})
 
-    numeric = expectation_quadrature(integrand, variables, t, nodes)
-    algebraic = float(heat(f, t).evaluate(x))
+    not_finite = f"heat convolution not finite in floating point at t = {t}, deg f = {degree}"
+    try:
+        shift = {v: float(x.get(v, 0)) for v in variables}
+        with np.errstate(over="ignore", invalid="ignore"):
+            numeric = expectation_quadrature(integrand, variables, t, nodes)
+        algebraic = float(heat(f, t).evaluate(x))
+    except OverflowError:
+        raise ValueError(not_finite) from None
     abs_disc = abs(numeric - algebraic)
+    if not math.isfinite(abs_disc):
+        raise ValueError(not_finite)
     return ConvolutionCheck(numeric, algebraic, abs_disc, abs_disc / max(1.0, abs(algebraic)))
 
 

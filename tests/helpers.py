@@ -5,6 +5,7 @@ Two flavors: seeded `random.Random` loops for the fixed-count batteries
 for the shrinking property tests.
 """
 
+import functools
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -67,3 +68,51 @@ def polynomials(draw, max_vars=3, max_exponent=4, max_terms=5):
         )
     )
     return Polynomial(pairs)
+
+
+# -- reference graded-lex order and basis ------------------------------------
+
+
+def walk_less(a, b):
+    """a < b in graded-lex order by a merge walk over the two supports.
+
+    Same degree: at the first variable where the exponents differ, the
+    monomial with the larger exponent is the larger one (x1 > x2 > ...).
+    """
+    if a.degree != b.degree:
+        return a.degree < b.degree
+    ea, eb = a.entries, b.entries
+    i = j = 0
+    while i < len(ea) and j < len(eb):
+        (va, xa), (vb, xb) = ea[i], eb[j]
+        if va == vb:
+            if xa != xb:
+                return xa < xb
+            i += 1
+            j += 1
+        elif va < vb:
+            return False  # a has a positive exponent where b has 0
+        else:
+            return True
+    return i == len(ea) and j < len(eb)
+
+
+def _exponent_vectors(m, d):
+    """All length-m tuples of nonnegative ints summing to d."""
+    if m == 1:
+        yield (d,)
+        return
+    for first in range(d, -1, -1):
+        for rest in _exponent_vectors(m - 1, d - first):
+            yield (first,) + rest
+
+
+def reference_graded_basis(m, n):
+    """The monomials of degree <= n in x1..xm, each degree sorted by walk_less."""
+    key = functools.cmp_to_key(lambda a, b: -1 if walk_less(a, b) else walk_less(b, a))
+    monomials = []
+    for d in range(n + 1):
+        block = [MultiIndex({i + 1: e for i, e in enumerate(vec) if e})
+                 for vec in _exponent_vectors(m, d)]
+        monomials.extend(sorted(block, key=key))
+    return tuple(monomials)

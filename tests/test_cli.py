@@ -16,6 +16,10 @@ from gausscalc.semigroups import hermite
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _refuse_constant(constant):
+    raise ValueError(f"non-finite {constant} in the report")
+
+
 def run_cli(capsys, *argv):
     """Run main() in process; returns (exit_code, parsed_report_or_None, stderr)."""
     code = main(list(argv))
@@ -218,11 +222,7 @@ class TestHypercontractivityScan:
         code = main(["hypercontractivity-scan", "--p", "4", "--q", "4", "--s", "1",
                      "--lambda", "1/2", "--degree-cap", "52"])
         out = capsys.readouterr().out
-
-        def refuse(constant):
-            raise ValueError(f"non-finite {constant} in the report")
-
-        report = json.loads(out, parse_constant=refuse)
+        report = json.loads(out, parse_constant=_refuse_constant)
         assert code == 0
         assert report["verdict"] == "pass"
         assert len(report["results"]) == 55
@@ -423,6 +423,75 @@ class TestConvolutionCheck:
         assert "NaN" not in captured.out and "Infinity" not in captured.out
 
 
+class TestStrictIntegers:
+    """Every CLI integer is an optional '-' then ASCII digits, nothing else."""
+
+    SCAN = ("hypercontractivity-scan", "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2")
+    CONVOLVE = ("convolution-check", "--f", "x1^2", "--t", "1")
+
+    @pytest.mark.parametrize("argv", [
+        ("hermite", "--alpha", "+2,1_0", "--s", "1"),
+        CONVOLVE + ("--x", "x+1=2"),
+        CONVOLVE + ("--x", "x 1=2"),
+        CONVOLVE + ("--x", "x\u0663=2"),
+        ("bch-check", "--m", "+2", "--n", "1_0", "--s", "1", "--lambda", "1/2"),
+        ("bch-check", "--m", "2", "--n", "1_0", "--s", "1", "--lambda", "1/2"),
+        ("nonclosability-demo", "--s", "1", "--n", "\u0663"),
+        CONVOLVE + ("--nodes", "1_0"),
+        SCAN + ("--budget", "+401"),
+        SCAN + ("--seed", "1_0"),
+        ("apply-heat", "--f", "\u0663x1", "--t", "1"),
+    ])
+    def test_malformed_integers_rejected(self, capsys, argv):
+        # int() alone would read '+2', '1_0' and non-ASCII digits.
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("bch-check", "--m", "0", "--n", "2", "--s", "1", "--lambda", "1/2"), "at least 1, got 0"),
+        (("bch-check", "--m", "1", "--n=-1", "--s", "1", "--lambda", "1/2"), "at least 0, got -1"),
+        (("nonclosability-demo", "--s", "1", "--n", "0"), "at least 1, got 0"),
+        (CONVOLVE + ("--nodes", "0"), "at least 1, got 0"),
+    ])
+    def test_out_of_range_integers_name_the_bound(self, capsys, argv, message):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_spaces_around_alpha_parts_allowed(self, capsys):
+        code, report, _ = run_cli(capsys, "hermite", "--alpha", "2, 0, 3", "--s", "1")
+        assert code == 0
+        assert report["params"]["alpha"] == "x1^2 x3^3"
+
+
+class TestFloatOverflow:
+    """A float route that overflows is a bad invocation, not a failure or a traceback."""
+
+    ZEROS = "1" + "0" * 400
+
+    @pytest.mark.parametrize("argv, message", [
+        (("bch-check", "--m", "1", "--n", "80", "--s", "1000000000",
+          "--lambda", "1/1000000000"), "dimension 81"),
+        (("convolution-check", "--f", "x1^160", "--t", "10000", "--x", "x1=1"),
+         "t = 10000, deg f = 160"),
+        (("check-identity", "--f", f"{ZEROS} x1", "--s", "1", "--t", "1/2"), ""),
+        (("hypercontractivity-scan", "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2",
+          "--epsilon-grid", ZEROS), ""),
+    ])
+    def test_exits_two_with_an_error(self, capsys, argv, message):
+        # NaN is not JSON and an OverflowError traceback is not a verdict.
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
+
 class TestPlumbing:
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify"]) == 2
@@ -489,7 +558,7 @@ class TestDeterminism:
         second_code = main(list(argv))
         second = capsys.readouterr()
         assert first_code == 0  # a usage error would compare two empty outputs
-        assert json.loads(first.out)
+        assert json.loads(first.out, parse_constant=_refuse_constant)
         assert first_code == second_code
         assert first.out == second.out
         assert first.err == second.err

@@ -493,3 +493,52 @@ class TestEvenLpNorm:
         # ||x1^700||_2 = sqrt(1399!!) is about 1e1000
         with pytest.raises(ValueError, match=r"not finite.*p = 2, deg f = 700"):
             lp_norm(parse("x1^700"), 2, 1)
+
+
+class TestDimensionFreeSetting:
+    """Exact facts of mu_s that hold in any number of coordinates."""
+
+    @staticmethod
+    def _exp_series(linear, order):
+        return sum((linear**k / math.factorial(k) for k in range(order + 1)), Polynomial.zero())
+
+    @pytest.mark.parametrize("a", [
+        (1,), (Fraction(3, 5), Fraction(4, 5)), (Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)),
+    ])
+    def test_moments_are_rotation_invariant(self, a):
+        # a.x ~ N(0, s |a|^2) for every unit vector a, however many coordinates it spans.
+        linear = sum((c * Polynomial.variable(k) for k, c in enumerate(a, 1)), Polynomial.zero())
+        assert sum(Fraction(c) ** 2 for c in a) == 1
+        f = self._exp_series(linear, 3)
+        assert inner_product(f**4, Polynomial.one(), Fraction(3, 2)) == Fraction(1359883, 1024)
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_moments_tensorize_over_disjoint_variables(self, p):
+        f, g, s = parse("x1^3 - 1/2 x1 + 2"), parse("3 x2^2 - x2 + 1/3"), Fraction(3, 2)
+        one = Polynomial.one()
+        assert inner_product((f * g) ** p, one, s) == (
+            inner_product(f**p, one, s) * inner_product(g**p, one, s)
+        )
+
+    @pytest.mark.parametrize("lam", [Fraction(7, 20), Fraction(1003, 3000), Fraction(3, 10)])
+    def test_exponentials_reach_the_gaussian_closed_form(self, lam):
+        # For f = e^{a x1}, (1/q) log E_{s-t}[(P_t f)^q] - (1/p) log E_s[f^p]
+        # is (a^2/2)[(s-t)(q-1) - s(p-1)]; its truncations converge to it exactly.
+        a, s, p, q = Fraction(1, 2), Fraction(1), 2, 10
+        t = s * (1 - lam**2)
+        limit = float(a * a / 2 * ((s - t) * (q - 1) - s * (p - 1)))
+        one = Polynomial.one()
+
+        def log(r):
+            return math.log(r.numerator) - math.log(r.denominator)
+
+        def log_ratio(order):
+            f = self._exp_series(a * Polynomial.variable(1), order)
+            return (log(inner_product(heat(f, t) ** q, one, s - t)) / q
+                    - log(inner_product(f**p, one, s)) / p)
+
+        coarse, fine = log_ratio(8), log_ratio(12)
+        assert abs(fine - limit) < 1e-7 * abs(limit)
+        assert abs(fine - limit) < abs(coarse - limit) / 100
+        # The sign is the contraction condition (q-1) lam^2 <= p-1.
+        assert (fine < 0) == ((q - 1) * lam**2 <= p - 1)

@@ -7,6 +7,7 @@ import pytest
 
 import gausscalc.matrixrep
 import gausscalc.semigroups
+import helpers
 from gausscalc.matrixrep import (
     DIMENSION_CAP,
     BchReport,
@@ -107,6 +108,11 @@ class TestGradedBasis:
             MultiIndex({1: 2}),
         ]
         assert list(basis.monomials) == expected
+
+    def test_matches_the_generate_then_sort_reference(self):
+        for m in range(1, 6):
+            for n in range(7):
+                assert graded_basis(m, n).monomials == helpers.reference_graded_basis(m, n)
 
     def test_dimension_formula(self):
         for m, n in [(1, 5), (2, 3), (3, 2), (2, 4), (4, 4)]:

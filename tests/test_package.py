@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import gausscalc
@@ -35,4 +36,39 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
+    assert unused == []
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    # A module-level _helper that nothing in src/ refers to, beyond its own
+    # definition (recursion included), is dead code.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(gausscalc.__file__).parent.glob("*.py"))
+    }
+
+    def references(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.ImportFrom):
+                yield from (alias.name for alias in sub.names)
+
+    everywhere = Counter(name for tree in trees.values() for name in references(tree))
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names, own = [node.name], Counter(references(node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                own = Counter(references(node))
+            else:
+                continue
+            unused += [f"{module}:{node.lineno} {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and everywhere[name] <= own[name]]
     assert unused == []

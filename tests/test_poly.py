@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 
 import helpers
+from gausscalc.matrixrep import graded_basis
 from gausscalc.poly import (
     MultiIndex,
     Polynomial,
@@ -64,6 +65,15 @@ class TestMultiIndex:
             x1sq,
         ]
 
+    def test_order_key_agrees_with_the_merge_walk(self):
+        rng = random.Random(12)
+        idxs = [helpers.random_multi_index(rng, 4, 6) for _ in range(60)]
+        idxs += graded_basis(3, 4).monomials
+        for a in idxs:
+            for b in idxs:
+                assert (a < b) == helpers.walk_less(a, b), (a, b)
+                assert (a.order_key() < b.order_key()) == helpers.walk_less(a, b), (a, b)
+
     def test_order_is_total_on_samples(self):
         rng = random.Random(5)
         idxs = [helpers.random_multi_index(rng, 3, 5) for _ in range(40)]
@@ -116,6 +126,11 @@ class TestParse:
             ("x1^", 3),
             ("x1 ^ -2", 5),
             ("1/", 2),
+            # Only ASCII digits are numbers; the class \d would read "\u0663x1" as 3 x1.
+            ("\u0663x1", 0),
+            ("x\u0663", 0),
+            ("x1^\u0663", 3),
+            ("1/\u0663 x1", 2),
         ],
     )
     def test_errors_report_position(self, text, position):
