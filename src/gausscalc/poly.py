@@ -31,13 +31,19 @@ class PolyParseError(ValueError):
         self.position = position
 
 
+_RATIONAL = re.compile("-?[0-9]+(/[0-9]+)?")
+
+
 def as_fraction(value) -> Fraction:
     """Coerce an exact scalar (int, Fraction, rational string) to Fraction.
 
-    Floats are rejected: binary floats silently misrepresent decimal
-    input, and every exact code path in this package depends on the
-    coefficients being true rationals.  Callers that really mean a
-    float's exact binary value can pass Fraction(x) themselves.
+    A string is an optional '-', ASCII digits, then optionally '/' and
+    ASCII digits, with whitespace around it allowed; '+', '_', exponents,
+    decimal points and other digits are refused.  Floats are rejected:
+    binary floats silently misrepresent decimal input, and every exact
+    code path in this package depends on the coefficients being true
+    rationals.  Callers that really mean a float's exact binary value can
+    pass Fraction(x) themselves.
     """
     if isinstance(value, Fraction):
         return value
@@ -46,10 +52,13 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, (int, Rational)):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
+            if not _RATIONAL.fullmatch(text):
+                raise ValueError
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"not a rational: {value!r}") from None
     if isinstance(value, float):
         raise TypeError(
             f"float {value!r} is not accepted as an exact scalar; "
@@ -267,6 +276,18 @@ class Polynomial:
         if not self._terms:
             return _ZERO_DEGREE
         return max(a.degree for a in self._terms)
+
+    @property
+    def coefficient_digits(self) -> int:
+        """Decimal digits in the integer part of the largest |coefficient|, at least 1.
+
+        Counted from the bit length, since str() refuses integers of more
+        than 4300 digits.
+        """
+        top = max(map(abs, self._terms.values()), default=_F0)
+        whole = top.numerator // top.denominator
+        digits = max(1, int(whole.bit_length() * math.log10(2)))  # the count or one less
+        return digits + (whole >= 10**digits)
 
     @property
     def active_variables(self) -> tuple:

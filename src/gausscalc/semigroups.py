@@ -264,7 +264,14 @@ def verify_ident2(f: Polynomial, params: VarianceParams, float_tol: float = 1e-1
     lhs = dilate(heat(f, params.t), lam)
     rhs = hermite_semigroup(f, params.s, lam)
     if params.lam is None:
-        return _float_compare(lhs, rhs, float_tol)
+        try:
+            return _float_compare(lhs, rhs, float_tol)
+        except OverflowError:
+            raise ValueError(
+                f"identity sides not finite in floating point at s = {params.s}, "
+                f"t = {params.t}, deg f = {f.degree} (largest coefficient "
+                f"{f.coefficient_digits} digits)"
+            ) from None
     witness = lhs - rhs
     return CheckResult(witness.is_zero, lhs, rhs, witness)
 

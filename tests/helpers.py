@@ -1,15 +1,19 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and reference implementations for the test suite.
 
-Two flavors: seeded `random.Random` loops for the fixed-count batteries
-(so a failure reproduces from the seed alone), and hypothesis strategies
-for the shrinking property tests.
+Two flavors of generator: seeded `random.Random` loops for the
+fixed-count batteries (so a failure reproduces from the seed alone), and
+hypothesis strategies for the shrinking property tests.  The references
+are slower, simpler routes the package's own are checked against.
 """
 
 import functools
+import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import strategies as st
 
+from gausscalc.gaussian import _RESCALE, _orthonormal_hermite
 from gausscalc.poly import MultiIndex, Polynomial
 
 
@@ -116,3 +120,20 @@ def reference_graded_basis(m, n):
                  for vec in _exponent_vectors(m, d)]
         monomials.extend(sorted(block, key=key))
     return tuple(monomials)
+
+
+# -- reference Gauss-Hermite rule --------------------------------------------
+
+
+def dense_gauss_hermite_rule(n):
+    """Nodes from numpy's eigvalsh of the dense n x n Jacobi matrix, one Newton step.
+
+    The weights come from the same orthonormal recurrence as the package's.
+    """
+    off_diag = np.sqrt(np.arange(1, n, dtype=float))
+    nodes = np.linalg.eigvalsh(np.diag(off_diag, 1) + np.diag(off_diag, -1))
+    p_prev, p_last, _ = _orthonormal_hermite(n, nodes)
+    nodes -= p_last / (math.sqrt(n) * p_prev)  # Newton: p_n' = sqrt(n) p_{n-1}
+    p_prev, _, rescales = _orthonormal_hermite(n, nodes)
+    weights = 1.0 / (n * p_prev * p_prev) * _RESCALE ** (-2.0 * rescales)
+    return nodes, weights / weights.sum()

@@ -468,6 +468,45 @@ class TestStrictIntegers:
         assert report["params"]["alpha"] == "x1^2 x3^3"
 
 
+class TestStrictRationals:
+    """Every CLI rational is an optional '-', ASCII digits, then optionally '/' and digits."""
+
+    SCAN = ("hypercontractivity-scan", "--p", "2", "--q", "4", "--s", "1", "--lambda", "1/2")
+    ARGV = {
+        "--s": ("hermite", "--alpha", "1", "--s", "{}"),
+        "--t": ("apply-heat", "--f", "x1^2", "--t={}"),
+        "--lambda": ("check-identity", "--f", "x1", "--s", "4", "--lambda", "{}"),
+        "--p": SCAN[:2] + ("{}",) + SCAN[3:],
+        "--q": SCAN[:4] + ("{}",) + SCAN[5:],
+        "--epsilon-grid": SCAN + ("--epsilon-grid", "1/2,{}"),
+        "--x": ("convolution-check", "--f", "x1^2", "--t", "1", "--x", "x1={}"),
+    }
+
+    @pytest.mark.parametrize("bad", ["1_0", "1e3", "1.5", "+2", "\u0663", "2 /3"])
+    @pytest.mark.parametrize("option", list(ARGV))
+    def test_loose_rationals_rejected(self, capsys, option, bad):
+        # Fraction() alone reads '1_0', '1e3' and '1.5' as 10, 1000 and 3/2.
+        code = main([part.format(bad) for part in self.ARGV[option]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"argument {option}: " in captured.err
+
+    @pytest.mark.parametrize("option, text, key, value", [
+        ("--s", " 3/5 ", "s", "3/5"),
+        ("--t", "-1/2", "t", "-1/2"),
+        ("--lambda", "1/2 ", "lambda", "1/2"),
+        ("--p", "4", "p", "4"),
+        ("--q", " 4", "q", "4"),
+        ("--epsilon-grid", " 3/5 ", "epsilon_grid", ["1/2", "3/5"]),
+        ("--x", "-1/2", "x", "x1=-1/2"),
+    ])
+    def test_strict_rationals_still_parse(self, capsys, option, text, key, value):
+        code, report, _ = run_cli(capsys, *(part.format(text) for part in self.ARGV[option]))
+        assert code == 0
+        assert report["params"][key] == value
+
+
 class TestFloatOverflow:
     """A float route that overflows is a bad invocation, not a failure or a traceback."""
 
@@ -489,6 +528,21 @@ class TestFloatOverflow:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert message in captured.err
+
+
+    @pytest.mark.parametrize("argv, message", [
+        (("check-identity", "--f", f"{ZEROS} x1", "--s", "1", "--t", "1/2"),
+         "at s = 1, t = 1/2, deg f = 1 (largest coefficient 401 digits)"),
+        (("hypercontractivity-scan", "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2",
+          "--epsilon-grid", ZEROS), "at p = 3, deg f = 1 (largest coefficient 401 digits), s = 1/4"),
+    ])
+    def test_message_names_the_polynomial_and_the_scale(self, capsys, argv, message):
+        # float(Fraction) alone says "integer division result too large for a float".
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
         assert message in captured.err
 
 
@@ -580,7 +634,8 @@ class TestSubprocessEntry:
 
 
 class TestImportFloor:
-    """scipy is not a dependency: no command may pull it in."""
+    """scipy is not a dependency: no command may pull it in.  numpy.random is
+    for the Monte Carlo cross-check: no exact-only command may pull it in."""
 
     LEAKED = "sorted(k for k in sys.modules if k.startswith('scipy'))"
 
@@ -604,5 +659,21 @@ class TestImportFloor:
             "except SystemExit as exc:\n"
             "    assert exc.code == 0, exc.code\n"
             f"print(json.dumps({self.LEAKED}))\n"
+        )
+        assert self._leaked(code) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["check-identity", "--f", "x1^2 x2", "--s", "4", "--lambda", "1/2"],
+        ["hermite", "--alpha", "2,1", "--s", "1"],
+        ["apply-heat", "--f", "x1^4", "--t", "1/2"],
+        ["nonclosability-demo", "--s", "1", "--n", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_exact_commands_leave_out_numpy_random(self, argv):
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from gausscalc.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "print(json.dumps(sorted(k for k in sys.modules if k.startswith('numpy.random'))))\n"
         )
         assert self._leaked(code) == []

@@ -239,6 +239,32 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             as_fraction("3/0")
 
+    @pytest.mark.parametrize("text, value", [
+        ("-1/2", Fraction(-1, 2)), (" 3/5 ", Fraction(3, 5)), ("4", 4), ("-0", 0),
+        ("12/36", Fraction(1, 3)), ("\t7\n", 7),
+    ])
+    def test_as_fraction_reads_the_strict_grammar(self, text, value):
+        assert as_fraction(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1_0", "1e3", "1.5", "+3", "3/-5", "- 3", "1 /2", "\u0663", "3/\u0665", "", "/2", "2/",
+        pytest.param("1" * 5000, id="5000 digits, above the int() limit"),
+    ])
+    def test_as_fraction_refuses_the_rest_of_fractions_grammar(self, text):
+        # Fraction() itself reads the first three as 10, 1000 and 3/2.
+        with pytest.raises(ValueError, match="not a rational"):
+            as_fraction(text)
+
+    @pytest.mark.parametrize("coeff, digits", [
+        (Fraction(1, 3), 1), (9, 1), (10, 2), (-99, 2), (100, 3), (Fraction(1001, 10), 3),
+        (10**400, 401), (-(10**400) + 1, 400),
+        pytest.param(10**5000, 5001, id="above the str() limit"),
+    ])
+    def test_coefficient_digits(self, coeff, digits):
+        f = Polynomial.constant(1) + coeff * Polynomial.variable(1)
+        assert f.coefficient_digits == digits
+        assert Polynomial.zero().coefficient_digits == 1
+
 
 class TestEvaluate:
     def test_at_a_root(self):
