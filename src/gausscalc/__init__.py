@@ -4,10 +4,14 @@ on polynomials in infinitely many Gaussian coordinates.
 The package keeps two strictly separated layers.  The symbolic layer
 (`poly`, `semigroups`, `matrixrep`) works in arbitrary-precision
 rationals, so operator identities are checked as exact term-map
-equality, never against a tolerance.  The numeric layer (`gaussian`)
-integrates against the product Gaussian measure by tensor Gauss-Hermite
-quadrature and seeded Monte Carlo, and exists to cross-check the
-symbolic layer through an independent, measure-level route.
+equality, never against a tolerance.  Floats enter it only in the
+reported time constant `VarianceParams.tau`, the float mode of
+`semigroups.verify_ident2` (an irrational scale), the
+`semigroups.heat_convolution_oracle`, and the numpy `expm` route of
+`matrixrep.bch_check`.  The numeric layer (`gaussian`) integrates
+against the product Gaussian measure by tensor Gauss-Hermite quadrature
+and seeded Monte Carlo, and exists to cross-check the symbolic layer
+through an independent, measure-level route.
 """
 
 from .gaussian import (

@@ -17,10 +17,11 @@ import re
 import sys
 from fractions import Fraction
 
-from .gaussian import inner_product, lp_norm, variance_of
-from .matrixrep import bch_check, graded_basis
-from .poly import MultiIndex, Polynomial, as_fraction, parse, serialize
+from .gaussian import DEFAULT_BUDGET, check_seed, inner_product, lp_norm, variance_of
+from .matrixrep import BCH_TOL, bch_check, graded_basis
+from .poly import MultiIndex, Polynomial, abbreviate, as_fraction, parse, serialize
 from .semigroups import (
+    IDENT_FLOAT_TOL,
     VarianceParams,
     heat,
     heat_convolution_oracle,
@@ -52,7 +53,7 @@ def _arg(convert, accept=None, requirement=""):
         except (ValueError, TypeError) as exc:
             raise argparse.ArgumentTypeError(str(exc))
         if accept is not None and not accept(value):
-            raise argparse.ArgumentTypeError(f"{requirement}, got {value}")
+            raise argparse.ArgumentTypeError(f"{requirement}, got {abbreviate(value)}")
         return value
 
     return parse_arg
@@ -61,7 +62,7 @@ def _arg(convert, accept=None, requirement=""):
 def _integer(text: str) -> int:
     """An optional '-' then ASCII digits; no '+', '_', spaces or other digits."""
     if not re.fullmatch("-?[0-9]+", text):
-        raise ValueError(f"not an integer: {text!r}")
+        raise ValueError(f"not an integer: {abbreviate(repr(text))}")
     return int(text)
 
 
@@ -69,7 +70,7 @@ def _float(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ValueError(f"not a number: {text!r}") from None
+        raise ValueError(f"not a number: {abbreviate(repr(text))}") from None
 
 
 def _multi_index(text: str) -> MultiIndex:
@@ -80,7 +81,8 @@ def _multi_index(text: str) -> MultiIndex:
             raise ValueError
     except ValueError:
         raise ValueError(
-            f"expected comma-separated nonnegative exponents like '2,0,3', got {text!r}"
+            f"expected comma-separated nonnegative exponents like '2,0,3', "
+            f"got {abbreviate(repr(text))}"
         ) from None
     return MultiIndex({i + 1: e for i, e in enumerate(exponents) if e})
 
@@ -98,13 +100,17 @@ def _point(text: str) -> dict:
             if var < 1:
                 raise ValueError
         except ValueError:
-            raise ValueError(f"expected assignments like 'x1=1/2,x2=-3', got {chunk!r}") from None
+            raise ValueError(
+                f"expected assignments like 'x1=1/2,x2=-3', got {abbreviate(repr(chunk))}"
+            ) from None
         if var in point:
-            raise ValueError(f"x{var} is assigned more than once in {text!r}")
+            raise ValueError(f"x{var} is assigned more than once in {abbreviate(repr(text))}")
         try:
             point[var] = as_fraction(raw)
         except ValueError:
-            raise ValueError(f"{name} must be a finite rational, got {raw!r}") from None
+            raise ValueError(
+                f"{abbreviate(name)} must be a finite rational, got {abbreviate(repr(raw))}"
+            ) from None
     return point
 
 
@@ -273,7 +279,8 @@ def _contraction_records(p, q, s, t, degree_cap, epsilon_grid, budget, seed):
     """Test every battery function; returns (records, first_violation_index).
 
     Outside the exact L^2 case a function expands only when its two norms
-    differ by more than their summed error bounds.
+    differ by more than their summed error bounds, each valid whatever the
+    other drew: every Monte Carlo cross-check draws from Philox(key=seed).
     """
     exact_l2 = p == 2 and q == 2 and t > 0
     records = []
@@ -287,8 +294,8 @@ def _contraction_records(p, q, s, t, degree_cap, epsilon_grid, budget, seed):
             record["ratio"] = math.sqrt(float(ratio_sq))
             violated = ratio_sq > 1
         else:
-            lhs = lp_norm(heat(f, t), q, s - t, budget=budget, seed=seed + 100 * idx)
-            rhs = lp_norm(f, p, s, budget=budget, seed=seed + 100 * idx + 1)
+            lhs = lp_norm(heat(f, t), q, s - t, budget=budget, seed=seed)
+            rhs = lp_norm(f, p, s, budget=budget, seed=seed)
             exact = lhs.method == rhs.method == "exact"
             record["method"] = "exact" if exact else "quadrature"
             record["lhs"] = lhs.value
@@ -328,15 +335,7 @@ def _classify(command, condition_holds, witness, count, degree_cap):
 
 def _cmd_contraction(args):
     if not 0 < args.lam <= 1:
-        raise ValueError(f"need a scale in (0, 1], got {args.lam}")
-    # Record idx of the battery draws with the Philox keys seed + 100 idx (+ 1).
-    size = args.degree_cap + 1 + len(args.epsilon_grid)
-    largest_seed = 2**128 - 2 - 100 * (size - 1)
-    if args.seed > largest_seed:
-        raise ValueError(
-            f"--seed must be at most {largest_seed} for a battery of {size} functions, "
-            f"got {args.seed}"
-        )
+        raise ValueError(f"need a scale in (0, 1], got {abbreviate(args.lam)}")
     scale = VarianceParams.from_scale(args.s, args.lam)
     # Contractivity holds exactly when (q-1)/(p-1) <= s/(s-t) = 1/lam^2.
     condition_holds = (args.q - 1) * scale.lam_sq <= (args.p - 1)
@@ -365,9 +364,7 @@ def _cmd_contraction(args):
 
 
 def _cmd_convolution_check(args):
-    degree = 0 if args.f.is_zero else int(max(args.f.degree, 0))
-    nodes = args.nodes if args.nodes is not None else degree // 2 + 5
-    result = heat_convolution_oracle(args.f, args.t, args.x, nodes)
+    result = heat_convolution_oracle(args.f, args.t, args.x, args.nodes)
     record = {
         "name": "kernel integration vs series",
         "numeric": result.numeric_value,
@@ -380,7 +377,7 @@ def _cmd_convolution_check(args):
         "f": serialize(args.f),
         "t": _rat(args.t),
         "x": point_text,
-        "nodes": nodes,
+        "nodes": result.nodes,
         "tol": args.tol,
     }
     verdict = "pass" if result.rel_discrepancy <= args.tol else "fail"
@@ -422,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scale; t = s(1 - lambda^2) is derived")
     p.add_argument("--t", type=_rational_arg, default=None,
                    help="time; the scale is sqrt((s-t)/s), exact only for perfect squares")
-    p.add_argument("--tol", type=_positive_float_arg, default=1e-12,
+    p.add_argument("--tol", type=_positive_float_arg, default=IDENT_FLOAT_TOL,
                    help="relative tolerance for the float path (irrational scale)")
 
     p = add("check-commutator", _cmd_check_commutator,
@@ -435,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(0), required=True, help="max degree")
     p.add_argument("--s", type=_positive_rational_arg, required=True)
     p.add_argument("--lambda", dest="lam", type=_positive_rational_arg, required=True)
-    p.add_argument("--tol", type=_positive_float_arg, default=1e-10)
+    p.add_argument("--tol", type=_positive_float_arg, default=BCH_TOL)
 
     p = add("hermite", _cmd_hermite, "print one Hermite polynomial")
     p.add_argument("--alpha", type=_alpha_arg, required=True,
@@ -469,9 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--degree-cap", type=_int_at_least(0), default=6)
         p.add_argument("--epsilon-grid", type=_grid_arg,
                        default=(Fraction(1, 2), Fraction(1, 10)))
-        p.add_argument("--budget", type=_int_at_least(1), default=401,
+        p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BUDGET,
                        help="quadrature nodes per variable, for a non-even p or q")
-        p.add_argument("--seed", type=_int_at_least(0), default=0)
+        p.add_argument("--seed", type=_arg(lambda text: check_seed(_integer(text))), default=0,
+                       help="Philox key of every Monte Carlo cross-check of the scan")
 
     p = add("convolution-check", _cmd_convolution_check,
             "heat kernel integration vs the series, at one point")
@@ -494,12 +492,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors.
         return int(exc.code or 0)
+    # Exact results may outgrow Python's int-to-str digit limit, which still
+    # guards the parsing of the arguments above.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         report, summary = args.handler(args)
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except (ValueError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
     if args.json_out:
         try:
             with open(args.json_out, "w", encoding="utf-8") as handle:

@@ -20,20 +20,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import MultiIndex, Polynomial, as_fraction
+from .poly import MultiIndex, Polynomial, abbreviate, as_fraction
 
 #: Hard ceiling on total tensor-product quadrature nodes per integral.
 NODE_CAP = 10**8
 
-#: Default Monte Carlo sample count for cross-checks.
+#: Monte Carlo sample count of every cross-check.
 MC_DEFAULT_SAMPLES = 10**6
+
+#: Gauss-Hermite nodes per variable of a non-even L^p norm.
+DEFAULT_BUDGET = 401
 
 
 def variance_of(s) -> Fraction:
     """Normalize a Fraction, int, or rational string to a Fraction > 0."""
     value = as_fraction(s)
     if value <= 0:
-        raise ValueError(f"variance must be positive, got {value}")
+        raise ValueError(f"variance must be positive, got {abbreviate(value)}")
     return value
 
 
@@ -231,8 +234,8 @@ def expectation_quadrature(integrand, variables, s, nodes_per_var: int) -> float
     total = nodes_per_var**v
     if total > NODE_CAP:
         raise ValueError(
-            f"{nodes_per_var}^{v} = {total} tensor nodes exceeds the cap of "
-            f"{NODE_CAP}; reduce the node budget or the variable count"
+            f"{abbreviate(nodes_per_var)}^{v} = {abbreviate(total)} tensor nodes exceeds "
+            f"the cap of {NODE_CAP}; reduce the node budget or the variable count"
         )
     x, w = gauss_hermite_rule(nodes_per_var)
     x = x * math.sqrt(s)
@@ -303,48 +306,55 @@ def _monte_carlo_abs_power_mean(f: Polynomial, p: float, s, samples: int, seed: 
     return mean, math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
 
 
-def lp_norm(
-    f: Polynomial,
-    p,
-    s,
-    budget: int | None = None,
-    seed: int = 0,
-    mc_samples: int = MC_DEFAULT_SAMPLES,
-) -> LpEstimate:
+def check_seed(seed: int) -> int:
+    """seed, refused with ValueError unless it is a Philox key: an integer in [0, 2**128)."""
+    if not 0 <= seed < 2**128:
+        raise ValueError(
+            f"the Monte Carlo seed must be at least 0 and below 2**128, got {abbreviate(seed)}"
+        )
+    return seed
+
+
+def lp_norm(f: Polynomial, p, s, budget: int = DEFAULT_BUDGET, seed: int = 0) -> LpEstimate:
     """(E_{mu_s}|f|^p)^(1/p), numerically.
 
     Even integer p: the p-th root of the exact moment E_s[f^p], with a
     bound on its float rounding proven in rationals.
-    Other p >= 1: quadrature at the budgeted node count (default 401 per
-    variable) plus a Monte Carlo cross-check whose 3-sigma standard
-    error, pushed through the p-th root, is the reported bound; an
-    estimate that is not finite raises ValueError.
-    A budget, when given, must be at least 1, mc_samples at least 2 (a
-    standard error needs two samples), and seed a Philox key in
-    [0, 2**128), whatever p is.
+    Other p >= 1: quadrature with `budget` nodes per variable plus a
+    cross-check of MC_DEFAULT_SAMPLES Monte Carlo draws from
+    Philox(key=seed), whose 3-sigma standard error, pushed through the
+    p-th root, is the reported bound.
+    The budget must be at least 1 and the seed pass check_seed, whatever
+    p is.  A p, constant or estimate beyond the float range, and a
+    nonconstant f whose estimates both underflow to 0, raise ValueError.
     """
-    p = float(p)
+    p_text = abbreviate(p)
     if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if budget is not None and budget < 1:
+        raise ValueError(f"p must be >= 1, got {p_text}")
+    if budget < 1:
         raise ValueError(f"the node budget must be at least 1, got {budget}")
-    if mc_samples < 2:
-        raise ValueError(f"need at least 2 Monte Carlo samples, got {mc_samples}")
-    if not 0 <= seed < 2**128:
-        raise ValueError(f"the Monte Carlo seed must be in [0, 2**128), got {seed}")
+    check_seed(seed)
     s = variance_of(s)
+
+    def not_finite(what="not finite"):
+        return ValueError(
+            f"L^p norm {what} in floating point at p = {p_text}, deg f = {f.degree} "
+            f"(largest coefficient {f.coefficient_digits} digits), s = {abbreviate(s)}"
+        )
+
+    try:
+        p = float(p)
+    except OverflowError:
+        raise not_finite() from None
     even = p.is_integer() and int(p) % 2 == 0
     if f.degree <= 0:
         c = abs(f.constant_term())
-        value = float(c)
+        try:
+            value = float(c)
+        except OverflowError:
+            raise not_finite() from None
         bound = 0.0 if Fraction(value) == c else math.ulp(value)
         return LpEstimate(value, bound, "exact" if even else "quadrature", 0)
-
-    def not_finite():
-        return ValueError(
-            f"L^p norm not finite in floating point at p = {p:g}, deg f = {f.degree} "
-            f"(largest coefficient {f.coefficient_digits} digits), s = {s}"
-        )
 
     if even:
         # The bound is the first b, doubling from one ulp, with
@@ -363,19 +373,20 @@ def lp_norm(
         return LpEstimate(value, bound, "exact", 0)
 
     variables = f.active_variables
-    nodes = 401 if budget is None else budget
 
     def integrand(point):
         with np.errstate(over="ignore", invalid="ignore"):
             return np.abs(f.evaluate(point)) ** p
 
     try:
-        mean = expectation_quadrature(integrand, variables, s, nodes)
-        mc_mean, mc_std_err = _monte_carlo_abs_power_mean(f, p, s, mc_samples, seed)
+        mean = expectation_quadrature(integrand, variables, s, budget)
+        mc_mean, mc_std_err = _monte_carlo_abs_power_mean(f, p, s, MC_DEFAULT_SAMPLES, seed)
     except OverflowError:  # a coefficient beyond the float range
         raise not_finite() from None
     if not all(map(math.isfinite, (mean, mc_mean, mc_std_err))):
         raise not_finite()
+    if not (mean or mc_mean):  # a nonconstant f has a positive norm
+        raise not_finite("underflows to 0")
     mean = max(mean, 0.0)
     value = mean ** (1.0 / p)
     if mean > 0:
@@ -387,7 +398,7 @@ def lp_norm(
         value,
         bound,
         "quadrature",
-        nodes ** len(variables),
+        budget ** len(variables),
         cross_check=cross,
-        cross_check_samples=mc_samples,
+        cross_check_samples=MC_DEFAULT_SAMPLES,
     )

@@ -36,11 +36,14 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .poly import MultiIndex, Polynomial, as_fraction
+from .poly import MultiIndex, Polynomial, abbreviate, as_fraction
 from .semigroups import VarianceParams, euler_d, hermite_semigroup, laplacian
 
 #: Largest basis dimension C(m+n, n) this module will materialize.
 DIMENSION_CAP = 5000
+
+#: Tolerance of bch_check's float comparisons.
+BCH_TOL = 1e-10
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -78,7 +81,8 @@ def graded_basis(m: int, n: int) -> GradedBasis:
     dim = math.comb(m + n, n)
     if dim > DIMENSION_CAP:
         raise ValueError(
-            f"basis dimension C({m + n},{n}) = {dim} exceeds the cap of {DIMENSION_CAP}"
+            f"basis dimension C({abbreviate(m + n)},{abbreviate(n)}) = {abbreviate(dim)} "
+            f"exceeds the cap of {DIMENSION_CAP}"
         )
     # A multiset of n picks from {0, 1, ..., m} is one monomial of degree
     # <= n, with 0 standing for an unused pick.
@@ -339,7 +343,7 @@ def _rel_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def bch_check(s, lam, basis: GradedBasis, tol: float = 1e-10) -> BchReport:
+def bch_check(s, lam, basis: GradedBasis, tol: float = BCH_TOL) -> BchReport:
     """Verify the noncommutative exponential factorization on a graded basis.
 
     With A = s*Laplacian and B = -Euler, the left-hand side
@@ -357,14 +361,17 @@ def bch_check(s, lam, basis: GradedBasis, tol: float = 1e-10) -> BchReport:
         raise ValueError(f"tolerance must be positive, got {tol}")
     lam = as_fraction(lam)
     if not 0 < lam <= 1:
-        raise ValueError(f"need a scale in (0, 1], got {lam}")
+        raise ValueError(f"need a scale in (0, 1], got {abbreviate(lam)}")
     params = VarianceParams.from_scale(s, lam)
     s, t, tau = params.s, params.t, params.tau
+    try:
+        s_f = float(s)  # t <= s, so float(t) below cannot overflow either
+    except OverflowError:
+        raise ValueError(f"the float exponentials cannot represent s = {abbreviate(s)}") from None
 
     lap = laplacian_matrix(basis)
     lap_f = lap.float_array()
     eul_f = euler_matrix(basis).float_array()
-    s_f = float(s)
 
     # Both float identities share e^{tau(A+B)} = e^{-tau N_s} and e^{-tau D},
     # with A = s*Laplacian, B = -Euler: A + B = -N_s and e^{tau B} = e^{-tau D}.
@@ -381,7 +388,7 @@ def bch_check(s, lam, basis: GradedBasis, tol: float = 1e-10) -> BchReport:
     if not (math.isfinite(bch_rel_err) and math.isfinite(bch2_rel_err)):
         raise ValueError(
             f"float exponentials not finite on a basis of dimension {basis.size} "
-            f"at s = {s}, lambda = {lam}"
+            f"at s = {abbreviate(s)}, lambda = {abbreviate(lam)}"
         )
 
     scalar_lhs = -(math.exp(-2.0 * tau) - 1.0) / 2.0

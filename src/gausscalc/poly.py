@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from fractions import Fraction
 from numbers import Rational
 
@@ -32,6 +33,16 @@ class PolyParseError(ValueError):
 
 
 _RATIONAL = re.compile("-?[0-9]+(/[0-9]+)?")
+
+
+def abbreviate(value) -> str:
+    """str(value) for an error message: its first 40 characters and its
+    length when longer, so a huge number or input cannot flood stderr."""
+    try:
+        text = str(value)
+    except ValueError:  # an integer above Python's int-to-str digit limit
+        return f"<more than {sys.get_int_max_str_digits()} digits>"
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def as_fraction(value) -> Fraction:
@@ -58,7 +69,7 @@ def as_fraction(value) -> Fraction:
                 raise ValueError
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"not a rational: {value!r}") from None
+            raise ValueError(f"not a rational: {abbreviate(repr(value))}") from None
     if isinstance(value, float):
         raise TypeError(
             f"float {value!r} is not accepted as an exact scalar; "

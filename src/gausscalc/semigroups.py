@@ -28,10 +28,13 @@ from fractions import Fraction
 import numpy as np
 
 from .gaussian import expectation_quadrature, variance_of
-from .poly import MultiIndex, Polynomial, as_fraction
+from .poly import MultiIndex, Polynomial, abbreviate, as_fraction
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+#: Relative tolerance of verify_ident2's float mode.
+IDENT_FLOAT_TOL = 1e-12
 
 
 # -- first-order building blocks -------------------------------------------
@@ -162,7 +165,7 @@ def hermite_semigroup(f: Polynomial, s, lam) -> Polynomial:
     s = variance_of(s)
     lam = as_fraction(lam)
     if lam <= 0:
-        raise ValueError(f"the semigroup scale must be positive, got {lam}")
+        raise ValueError(f"the semigroup scale must be positive, got {abbreviate(lam)}")
     return heat(dilate(heat(f, s), lam), -s)
 
 
@@ -180,14 +183,23 @@ def _rational_sqrt(q: Fraction):
     return None
 
 
+def _log(q: Fraction) -> float:
+    """log q for a rational q > 0 of any size, accurate also near q = 1:
+    an exact shift by a power of 2 brings q to r in (1/2, 2), and
+    log r = log1p(r - 1) with r - 1 computed exactly."""
+    shift = q.numerator.bit_length() - q.denominator.bit_length()
+    return math.log1p(q / Fraction(2) ** shift - 1) + shift * math.log(2)
+
+
 @dataclass(frozen=True)
 class VarianceParams:
     """The pair (s, t) with t < s, plus the derived scale and time constant.
 
     lam satisfies lam^2 = (s-t)/s and is stored exactly when that ratio
     is a perfect rational square, else as None (lam_sq is always exact
-    and float paths use sqrt(lam_sq)).  tau = -log(lam) =
-    (1/2) log(s/(s-t)), nonnegative exactly when t >= 0.
+    and float paths use sqrt(lam_sq)).  tau = -log(lam) = -(1/2) log(lam^2),
+    nonnegative exactly when t >= 0, is taken from the exact lam^2 (see
+    _log), so it is finite whatever the size of lam.
     """
 
     s: Fraction
@@ -202,10 +214,10 @@ class VarianceParams:
         s = variance_of(s)
         lam = as_fraction(lam)
         if lam <= 0:
-            raise ValueError(f"the scale must be positive, got {lam}")
+            raise ValueError(f"the scale must be positive, got {abbreviate(lam)}")
         lam_sq = lam * lam
         t = s * (1 - lam_sq)
-        return cls(s, t, lam, lam_sq, -math.log(float(lam)))
+        return cls(s, t, lam, lam_sq, -0.5 * _log(lam_sq))
 
     @classmethod
     def from_times(cls, s, t) -> "VarianceParams":
@@ -213,13 +225,23 @@ class VarianceParams:
         s = variance_of(s)
         t = as_fraction(t)
         if t >= s:
-            raise ValueError(f"need t < s, got t = {t}, s = {s}")
+            raise ValueError(f"need t < s, got t = {abbreviate(t)}, s = {abbreviate(s)}")
         lam_sq = (s - t) / s
-        return cls(s, t, _rational_sqrt(lam_sq), lam_sq, 0.5 * math.log(float(s / (s - t))))
+        return cls(s, t, _rational_sqrt(lam_sq), lam_sq, -0.5 * _log(lam_sq))
 
     @property
     def lam_float(self) -> float:
-        return math.sqrt(float(self.lam_sq))
+        """sqrt(lam^2) as a positive float; ValueError when it leaves the float range."""
+        try:
+            lam = math.sqrt(float(self.lam_sq))
+        except OverflowError:
+            lam = math.inf
+        if not 0 < lam < math.inf:
+            raise ValueError(
+                f"the scale lambda^2 = {abbreviate(self.lam_sq)} (s = {abbreviate(self.s)}, "
+                f"t = {abbreviate(self.t)}) is beyond the float range"
+            )
+        return lam
 
 
 # -- identity checkers -------------------------------------------------------
@@ -252,7 +274,7 @@ def _float_compare(lhs: Polynomial, rhs: Polynomial, tol: float) -> CheckResult:
     return CheckResult(worst <= tol, lhs, rhs, witness, "float", worst)
 
 
-def verify_ident2(f: Polynomial, params: VarianceParams, float_tol: float = 1e-12) -> CheckResult:
+def verify_ident2(f: Polynomial, params: VarianceParams, float_tol=IDENT_FLOAT_TOL) -> CheckResult:
     """Check dilate(heat(f, t), lam) == hermite_semigroup(f, s, lam).
 
     With rational lam (the exact path) the comparison is exact term-map
@@ -268,8 +290,8 @@ def verify_ident2(f: Polynomial, params: VarianceParams, float_tol: float = 1e-1
             return _float_compare(lhs, rhs, float_tol)
         except OverflowError:
             raise ValueError(
-                f"identity sides not finite in floating point at s = {params.s}, "
-                f"t = {params.t}, deg f = {f.degree} (largest coefficient "
+                f"identity sides not finite in floating point at s = {abbreviate(params.s)}, "
+                f"t = {abbreviate(params.t)}, deg f = {f.degree} (largest coefficient "
                 f"{f.coefficient_digits} digits)"
             ) from None
     witness = lhs - rhs
@@ -320,7 +342,7 @@ def l2_contraction_ratio(f: Polynomial, s, t) -> Fraction:
     s = variance_of(s)
     t = as_fraction(t)
     if not 0 < t < s:
-        raise ValueError(f"need 0 < t < s, got t = {t}, s = {s}")
+        raise ValueError(f"need 0 < t < s, got t = {abbreviate(t)}, s = {abbreviate(s)}")
     if f.is_zero:
         raise ValueError("the ratio is undefined for the zero polynomial")
     coeffs = hermite_expand(f, s)
@@ -335,23 +357,25 @@ class ConvolutionCheck:
     algebraic_value: float
     abs_discrepancy: float
     rel_discrepancy: float  # absolute discrepancy over max(1, |algebraic|)
+    nodes: int  # quadrature nodes per variable
 
 
-def heat_convolution_oracle(f: Polynomial, t, x, nodes: int) -> ConvolutionCheck:
+def heat_convolution_oracle(f: Polynomial, t, x, nodes: int | None = None) -> ConvolutionCheck:
     """Compare E[f(x + z)], z ~ N(0, t I), against heat(f, t) evaluated at x.
 
     The expectation runs over the active variables of f by tensor
-    Gauss-Hermite with `nodes` points per variable, which must cover
-    deg(f): nodes >= ceil((deg f + 1) / 2).  This is the measure-level
-    route to the heat operator, fully independent of the series route.
+    Gauss-Hermite with `nodes` points per variable, at least deg f // 2 + 1
+    and by default deg f // 2 + 5 (the result reports it).  This is the
+    measure-level route to the heat operator, independent of the series.
     """
     t = as_fraction(t)
     if t <= 0:
-        raise ValueError(f"need t > 0, got {t}")
+        raise ValueError(f"need t > 0, got {abbreviate(t)}")
     x = {int(k): v for k, v in dict(x or {}).items()}
     variables = f.active_variables
     degree = 0 if f.is_zero else int(max(f.degree, 0))
     min_nodes = degree // 2 + 1
+    nodes = min_nodes + 4 if nodes is None else nodes
     if nodes < min_nodes:
         raise ValueError(
             f"{nodes} nodes per variable cannot integrate degree {degree}; "
@@ -361,7 +385,9 @@ def heat_convolution_oracle(f: Polynomial, t, x, nodes: int) -> ConvolutionCheck
     def integrand(point):
         return f.evaluate({v: shift[v] + point[v] for v in variables})
 
-    not_finite = f"heat convolution not finite in floating point at t = {t}, deg f = {degree}"
+    not_finite = (
+        f"heat convolution not finite in floating point at t = {abbreviate(t)}, deg f = {degree}"
+    )
     try:
         shift = {v: float(x.get(v, 0)) for v in variables}
         with np.errstate(over="ignore", invalid="ignore"):
@@ -372,7 +398,8 @@ def heat_convolution_oracle(f: Polynomial, t, x, nodes: int) -> ConvolutionCheck
     abs_disc = abs(numeric - algebraic)
     if not math.isfinite(abs_disc):
         raise ValueError(not_finite)
-    return ConvolutionCheck(numeric, algebraic, abs_disc, abs_disc / max(1.0, abs(algebraic)))
+    rel_disc = abs_disc / max(1.0, abs(algebraic))
+    return ConvolutionCheck(numeric, algebraic, abs_disc, rel_disc, nodes)
 
 
 def nonclosability_example(n: int, s) -> Polynomial:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import gausscalc.gaussian
 import gausscalc.matrixrep
 from gausscalc.cli import main
 from gausscalc.poly import MultiIndex, Polynomial, serialize
@@ -279,23 +281,12 @@ class TestBatteryArguments:
         assert captured.out == ""
         assert "--seed" in captured.err and "at least 0" in captured.err
 
-    def test_seed_overflowing_a_derived_key_rejected_up_front(self, capsys, command):
-        # The default battery has 9 functions; the last record's second key,
-        # seed + 801, would pass 2^128 - 1.  The scan used to run its first
-        # records and then name a derived key instead of --seed.
-        code = main([command, "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2",
-                     "--seed", "340282366920938463463374607431768211300"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "--seed" in captured.err
-        assert str(2**128 - 2 - 800) in captured.err
-
     def test_largest_seed_runs(self, capsys, command):
-        # Two functions: the keys run up to seed + 101 = 2^128 - 1.
+        # Every cross-check of the scan draws from Philox(key=--seed), so the
+        # whole key range [0, 2^128) is open whatever the battery size.
         argv = [command, "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2",
                 "--degree-cap", "0", "--epsilon-grid", "1/2"]
-        largest = 2**128 - 2 - 100
+        largest = 2**128 - 1
         code, report, _ = run_cli(capsys, *argv, "--seed", str(largest))
         assert code == 0
         assert report["seed"] == largest
@@ -304,6 +295,34 @@ class TestBatteryArguments:
         assert code == 2
         assert report is None
         assert "--seed" in err
+
+    def test_seed_range_holds_on_the_exact_l2_route(self, capsys, command):
+        # p = q = 2 never calls lp_norm; --seed is checked when it is parsed.
+        argv = [command, "--p", "2", "--q", "2", "--s", "1", "--lambda", "1/2"]
+        code, report, _ = run_cli(capsys, *argv, "--seed", str(2**128 - 1))
+        assert code == 0
+        assert all(r["method"] == "exact" for r in report["results"])
+        code, report, err = run_cli(capsys, *argv, "--seed", str(2**128))
+        assert code == 2
+        assert report is None
+        assert "--seed" in err and "below 2**128" in err
+
+    def test_every_cross_check_draws_from_the_seed(self, capsys, monkeypatch, command):
+        seeds = []
+        draw = gausscalc.gaussian._monte_carlo_abs_power_mean
+
+        def spy(f, p, s, samples, seed):
+            seeds.append(seed)
+            return draw(f, p, s, samples, seed)
+
+        monkeypatch.setattr(gausscalc.gaussian, "MC_DEFAULT_SAMPLES", 1000)
+        monkeypatch.setattr(gausscalc.gaussian, "_monte_carlo_abs_power_mean", spy)
+        code, report, _ = run_cli(capsys, command, "--p", "3/2", "--q", "3", "--s", "1",
+                                  "--lambda", "1/2", "--degree-cap", "3", "--seed", "4242")
+        assert code == 0
+        # Both norms of every nonconstant battery function run a cross-check.
+        assert len(seeds) == 2 * (len(report["results"]) - 1)
+        assert set(seeds) == {4242}
 
 
 class TestSharpnessProbe:
@@ -544,6 +563,101 @@ class TestFloatOverflow:
         assert code == 2
         assert captured.out == ""
         assert message in captured.err
+
+
+class TestExtremeScales:
+    """Valid scales far outside the float range run exactly or exit 2 naming the value."""
+
+    ZEROS = "0" * 400
+
+    @pytest.mark.parametrize("argv, tau", [
+        (("check-identity", "--f", "x1", "--s", "1", "--lambda", f"1/1{ZEROS}"), 400),
+        (("check-identity", "--f", "x1", "--s", "1", "--lambda", f"1{ZEROS}"), -400),
+        (("bch-check", "--m", "1", "--n", "2", "--s", "1", "--lambda", f"1/1{ZEROS}"), 400),
+        (("hypercontractivity-scan", "--p", "2", "--q", "2", "--s", "1",
+          "--lambda", f"1/1{ZEROS}"), None),
+    ], ids=["identity-tiny-lambda", "identity-huge-lambda", "bch-tiny-lambda", "l2-tiny-lambda"])
+    def test_exact_routes_run(self, capsys, argv, tau):
+        # tau = -log(lambda) used to be taken of float(lambda): 0.0 or an overflow.
+        code, report, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert report["verdict"] == "pass"
+        if tau is not None:
+            assert report["params"]["tau"] == pytest.approx(tau * math.log(10), rel=1e-15)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("check-identity", "--f", "x1", "--s", f"1/1{ZEROS}", "--t=-1"),
+         "the scale lambda^2 = 1000000000000000000000000000000000000000... (401 characters)"),
+        (("check-identity", "--f", "x1", "--s", "1", f"--t=-1{ZEROS}"),
+         "(s = 1, t = -100000000000000000000000000000000000000... (402 characters)) "
+         "is beyond the float range"),
+        (("bch-check", "--m", "1", "--n", "2", "--s", f"1{ZEROS}", "--lambda", "1/2"),
+         "cannot represent s = 1000000000000000000000000000000000000000... (401 characters)"),
+        (("hypercontractivity-scan", "--p", f"1{ZEROS}", "--q", "3", "--s", "1",
+          "--lambda", "1/2"),
+         "not finite in floating point at p = 1000000000000000000000000000000000000000... "
+         "(401 characters)"),
+        (("sharpness-probe", "--p", "3/2", "--q", "3", "--s", f"1/1{ZEROS}", "--lambda", "1/2",
+          "--degree-cap", "2"),
+         "underflows to 0 in floating point at p = 3, deg f = 1"),
+    ], ids=["identity-tiny-s", "identity-huge-t", "bch-huge-s", "scan-huge-p",
+            "probe-underflow"])
+    def test_float_routes_name_the_value(self, capsys, argv, message):
+        # These printed "math domain error", "integer division result too
+        # large for a float" or "Out of range float values are not JSON compliant".
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
+
+class TestLongValues:
+    @pytest.mark.parametrize("argv", [
+        ("hermite", "--alpha", "1", "--s", "1" * 5000),
+        ("hypercontractivity-scan", "--p", "2", "--q", "3", "--s", "1" + "0" * 400,
+         "--lambda", "1/2"),
+        ("convolution-check", "--f", "x1", "--t", "1" + "0" * 400, "--x", "x1=1"),
+        ("hypercontractivity-scan", "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2",
+         "--seed", "9" * 4000),
+        ("convolution-check", "--f", "x1", "--t", "1", "--x", "x1=1/" + "0" * 4000),
+    ], ids=["refused-rational", "huge-s", "huge-t", "huge-seed", "refused-point"])
+    def test_errors_quote_a_long_value_briefly(self, capsys, argv):
+        # The messages used to echo every digit.  argparse's usage line comes
+        # before a usage error's message.
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        error = captured.err.splitlines()[-1]
+        assert "error: " in error and "characters)" in error
+        assert len(error) < 200
+
+
+class TestReadmeExamples:
+    """A tooling guard: the README's CLI examples must keep running."""
+
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    @staticmethod
+    def examples():
+        # The sh block that runs the CLI, not the installation block before it.
+        text = TestReadmeExamples.README.read_text(encoding="utf-8")
+        block = next(b for b in text.split("```sh\n")[1:] if b.startswith("gausscalc "))
+        return [line.split("  #", 1)[0].strip() for line in block.split("```", 1)[0].splitlines()
+                if line.startswith("gausscalc ")]
+
+    def test_the_block_is_found(self):
+        assert len(self.examples()) == 10
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_example_runs(self, capsys, index):
+        argv = shlex.split(self.examples()[index])[1:]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, argv
+        assert json.loads(out, parse_constant=_refuse_constant)["command"] == argv[0]
 
 
 class TestPlumbing:

@@ -314,6 +314,27 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(parse("x1"), 0.5, 1)
 
+    @pytest.mark.parametrize("p", [3, 4, Fraction(5, 2)])
+    def test_constant_beyond_the_float_range_is_named(self, p):
+        # float(c) used to raise a bare OverflowError.
+        with pytest.raises(ValueError, match=rf"not finite.*p = {p}, deg f = 0 \(largest "
+                                             r"coefficient 401 digits\), s = 1"):
+            lp_norm(Polynomial.constant(10**400), p, 1)
+
+    @pytest.mark.parametrize("p", [10**400, Fraction(10**400 + 1, 2), 10**400 + 1])
+    def test_p_beyond_the_float_range_is_named(self, p):
+        # float(p) used to raise a bare OverflowError.
+        with pytest.raises(ValueError, match=r"not finite.*p = 10*\.\.\. \(40[13] characters\)"):
+            lp_norm(parse("x1"), p, 1)
+        with pytest.raises(ValueError, match=r"p must be >= 1, got -10*\.\.\. \(402 char"):
+            lp_norm(parse("x1"), -(10**400), 1)
+
+    def test_norm_underflowing_to_zero_is_named(self):
+        # Both estimates of ||x1||_3 at s = 10^-400 round to 0: the CLI's ratio
+        # of two such norms was inf, which no JSON report can hold.
+        with pytest.raises(ValueError, match=r"underflows to 0.*p = 3, deg f = 1"):
+            lp_norm(parse("x1"), 3, Fraction(1, 10**400), budget=11)
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_budget_below_one_rejected(self, p):
         f = parse("x1^2 + x2")
@@ -321,19 +342,11 @@ class TestLpNorm:
             with pytest.raises(ValueError, match="budget"):
                 lp_norm(f, p, 1, budget=budget)
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_fewer_than_two_monte_carlo_samples_rejected(self, p):
-        # One sample has no standard error: the bound used to come out nan.
-        f = parse("x1^2 + x2")
-        for samples in (1, 0, -4):
-            with pytest.raises(ValueError, match="Monte Carlo samples"):
-                lp_norm(f, p, 1, budget=11, mc_samples=samples)
-        estimate = lp_norm(f, 3, 1, budget=11, mc_samples=2)
-        assert math.isfinite(estimate.abs_error_bound)
-
     def test_budget_none_means_default(self):
+        # No budget means the one default, which --budget also reads.
         f = parse("x1^2 - 1")
-        assert lp_norm(f, 3, 1, budget=None).samples_or_nodes == 401
+        assert gausscalc.gaussian.DEFAULT_BUDGET == 401
+        assert lp_norm(f, 3, 1).samples_or_nodes == 401
 
     def test_budget_over_cap_rejected(self):
         f = parse("x1 x2 x3 x4 x5")
@@ -348,15 +361,16 @@ class TestLpNorm:
         assert a == b
         assert a.cross_check != c.cross_check
 
-    def test_non_finite_estimate_rejected(self):
+    def test_non_finite_estimate_rejected(self, monkeypatch):
         # |f|^3 overflows in float at the quadrature nodes and the samples;
         # a nan mean used to come out as a norm that compares as contractive.
         # The overflow itself must not leak out as a numpy RuntimeWarning.
         f = heat(hermite({1: 82}, 1), Fraction(3, 4))
+        monkeypatch.setattr(gausscalc.gaussian, "MC_DEFAULT_SAMPLES", 1000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"not finite.*p = 3, deg f = 82"):
-                lp_norm(f, 3, Fraction(1, 4), mc_samples=1000)
+                lp_norm(f, 3, Fraction(1, 4))
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("seed", [-1, -200, 2**128])
@@ -368,8 +382,9 @@ class TestLpNorm:
         with pytest.raises(ValueError, match=rf"seed .*got {seed}"):
             lp_norm(parse("x1^2 + x2"), p, 1, seed=seed)
 
-    def test_largest_philox_key_accepted(self):
-        estimate = lp_norm(parse("x1^2 + x2"), 3, 1, budget=11, seed=2**128 - 1, mc_samples=10)
+    def test_largest_philox_key_accepted(self, monkeypatch):
+        monkeypatch.setattr(gausscalc.gaussian, "MC_DEFAULT_SAMPLES", 10)
+        estimate = lp_norm(parse("x1^2 + x2"), 3, 1, budget=11, seed=2**128 - 1)
         assert estimate.cross_check_samples == 10
 
 

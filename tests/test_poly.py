@@ -12,6 +12,7 @@ from gausscalc.poly import (
     MultiIndex,
     Polynomial,
     PolyParseError,
+    abbreviate,
     as_fraction,
     parse,
     serialize,
@@ -254,6 +255,20 @@ class TestArithmetic:
         # Fraction() itself reads the first three as 10, 1000 and 3/2.
         with pytest.raises(ValueError, match="not a rational"):
             as_fraction(text)
+
+    def test_a_long_refused_rational_is_quoted_briefly(self):
+        with pytest.raises(ValueError) as refused:
+            as_fraction("1" * 5000)
+        assert str(refused.value) == "not a rational: '" + "1" * 39 + "... (5002 characters)"
+
+    @pytest.mark.parametrize("value, text", [
+        ("short", "short"), ("x" * 40, "x" * 40),
+        ("x" * 41, "x" * 40 + "... (41 characters)"),
+        (Fraction(1, 10**400), "1/" + "1" + "0" * 37 + "... (403 characters)"),
+        pytest.param(10**5000, "<more than 4300 digits>", id="above the str() limit"),
+    ])
+    def test_abbreviate(self, value, text):
+        assert abbreviate(value) == text
 
     @pytest.mark.parametrize("coeff, digits", [
         (Fraction(1, 3), 1), (9, 1), (10, 2), (-99, 2), (100, 3), (Fraction(1001, 10), 3),

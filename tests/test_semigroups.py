@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -461,6 +463,32 @@ class TestVarianceParams:
         assert params.t == -3
         assert params.tau < 0
 
+    @pytest.mark.parametrize("make, tau", [
+        (lambda: VarianceParams.from_scale(1, F(1, 10**400)), 400 * math.log(10)),
+        (lambda: VarianceParams.from_scale(1, 10**400), -400 * math.log(10)),
+        (lambda: VarianceParams.from_times(F(1, 10**400), -1), -0.5 * (400 * math.log(10))),
+        (lambda: VarianceParams.from_times(1, -(10**400)), -0.5 * (400 * math.log(10))),
+        (lambda: VarianceParams.from_times(1, 1 - F(1, 10**400)), 200 * math.log(10)),
+    ])
+    def test_tau_of_a_scale_beyond_the_float_range(self, make, tau):
+        # tau used to be log(float(...)): a math domain error or an overflow.
+        assert make().tau == pytest.approx(tau, rel=1e-15)
+
+    @pytest.mark.parametrize("lam", [F(1, 2), F(2, 3), F(7, 10), F(999, 1000), F(3, 2), F(1)])
+    def test_tau_is_minus_the_log_of_the_scale(self, lam):
+        with decimal.localcontext(decimal.Context(prec=40)):
+            exact = float(Decimal(lam.denominator).ln() - Decimal(lam.numerator).ln())
+        assert VarianceParams.from_scale(5, lam).tau == pytest.approx(exact, rel=1e-15, abs=0)
+        params = VarianceParams.from_times(5, 5 * (1 - lam**2))
+        assert params.tau == pytest.approx(exact, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("s, t", [(1, -(10**400)), (1, 1 - F(2, 10**700))])
+    def test_float_scale_beyond_the_float_range_is_named(self, s, t):
+        params = VarianceParams.from_times(s, t)
+        assert params.lam is None
+        with pytest.raises(ValueError, match=r"lambda\^2 = .*is beyond the float range"):
+            params.lam_float
+
     def test_validation(self):
         with pytest.raises(ValueError):
             VarianceParams.from_times(1, 1)
@@ -615,6 +643,15 @@ class TestConvolutionOracle:
             heat_convolution_oracle(parse("x1^2"), -1, {}, nodes=5)
         with pytest.raises(ValueError, match="nodes"):
             heat_convolution_oracle(parse("x1^4"), 1, {}, nodes=2)
+
+    @pytest.mark.parametrize("text, nodes", [("0", 5), ("3", 5), ("x1", 5), ("x1^4 + x2^3", 7),
+                                             ("x1^7 x2^2 - 1/3 x3", 9)])
+    def test_default_node_count(self, text, nodes):
+        # deg f // 2 + 1 nodes integrate deg f exactly; the default adds 4.
+        check = heat_convolution_oracle(parse(text), F(1, 2), {1: F(1, 3)})
+        assert check.nodes == nodes
+        assert check == heat_convolution_oracle(parse(text), F(1, 2), {1: F(1, 3)}, nodes=nodes)
+        assert heat_convolution_oracle(parse(text), F(1, 2), {}, nodes=11).nodes == 11
 
     def test_random_polynomials_round_trip(self):
         rng = random.Random(109)
