@@ -144,6 +144,11 @@ def _params_from_args(args) -> VarianceParams:
 # -- subcommand handlers -----------------------------------------------------
 
 
+def _quote(text: str, poly: Polynomial) -> str:
+    """A polynomial's serialized text for a summary line: abbreviated, with its term count."""
+    return f"{abbreviate(text)} ({len(poly)} term{'' if len(poly) == 1 else 's'})"
+
+
 def _check_record(name, result) -> dict:
     """The report record of one CheckResult: both sides, witness, verdict."""
     return {
@@ -170,9 +175,9 @@ def _cmd_check_identity(args):
     record = _check_record("dilated heat flow vs Hermite coefficient decay", result)
     record.update(mode=result.mode, max_rel_error=result.max_rel_error)
     verdict = "pass" if result.ok else "fail"
-    summary = (
-        f"pass: both sides {record['lhs']}" if result.ok else f"fail: witness {record['witness']}"
-    )
+    summary = f"pass: both sides {_quote(record['lhs'], result.lhs)}"
+    if not result.ok:
+        summary = f"fail: witness {_quote(record['witness'], result.witness)}"
     return _report("check-identity", report_params, [record], verdict), summary
 
 
@@ -184,9 +189,10 @@ def _cmd_check_commutator(args):
         _check_record("nested bracket vanishes", nested),
     ]
     verdict = "pass" if first.ok and nested.ok else "fail"
+    params = {"f": serialize(args.f)}
     return (
-        _report("check-commutator", {"f": serialize(args.f)}, records, verdict),
-        f"{verdict}: bracket identities on {serialize(args.f)}",
+        _report("check-commutator", params, records, verdict),
+        f"{verdict}: bracket identities on {_quote(params['f'], args.f)}",
     )
 
 
@@ -232,14 +238,16 @@ def _cmd_hermite(args):
         "norm_squared": _rat(norm_sq),
     }
     params = {"alpha": str(args.alpha), "s": _rat(args.s)}
-    return _report("hermite", params, [record], "pass"), f"pass: {serialize(h)}"
+    summary = f"pass: {_quote(record['polynomial'], h)}"
+    return _report("hermite", params, [record], "pass"), summary
 
 
 def _cmd_apply_heat(args):
     result = heat(args.f, args.t)
     record = {"name": "heat flow", "input": serialize(args.f), "output": serialize(result)}
-    params = {"f": serialize(args.f), "t": _rat(args.t)}
-    return _report("apply-heat", params, [record], "pass"), f"pass: {serialize(result)}"
+    params = {"f": record["input"], "t": _rat(args.t)}
+    summary = f"pass: {_quote(record['output'], result)}"
+    return _report("apply-heat", params, [record], "pass"), summary
 
 
 def _cmd_nonclosability_demo(args):

@@ -88,12 +88,13 @@ class MultiIndex:
     with x1 > x2 > ..., as defined by `order_key`.
     """
 
-    __slots__ = ("_entries", "_degree")
+    __slots__ = ("_entries", "_degree", "_hash")
 
     def __init__(self, entries=()):
         if isinstance(entries, MultiIndex):
             self._entries = entries._entries
             self._degree = entries._degree
+            self._hash = entries._hash
             return
         if isinstance(entries, dict):
             entries = entries.items()
@@ -115,6 +116,7 @@ class MultiIndex:
                 raise ValueError(f"variable x{v1} appears twice")
         self._entries = tuple(pairs)
         self._degree = sum(e for _, e in pairs)
+        self._hash = hash(self._entries)
 
     @classmethod
     def _from_entries(cls, entries: tuple, degree: int) -> "MultiIndex":
@@ -123,6 +125,7 @@ class MultiIndex:
         self = object.__new__(cls)
         self._entries = entries
         self._degree = degree
+        self._hash = hash(entries)
         return self
 
     @classmethod
@@ -172,7 +175,7 @@ class MultiIndex:
         return self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        return self._hash
 
     def order_key(self) -> tuple:
         """The graded-lex sort key (degree, -v1, e1, -v2, e2, ...).

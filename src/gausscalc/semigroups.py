@@ -17,6 +17,10 @@ The central objects:
 and the identity the package exists to check: dilating the heat flow
 with lam^2 = (s-t)/s agrees with the Hermite-coefficient decay by
 lam^{|alpha|}, exactly, polynomial by polynomial.
+
+heat, dilate and hermite_semigroup run on an integer form (int coefficients
+over one common denominator) and build Fractions once, at the end.  Exact
+checks compare the two sides before they build the witness lhs - rhs.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .gaussian import expectation_quadrature, variance_of
 from .poly import MultiIndex, Polynomial, abbreviate, as_fraction
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 #: Relative tolerance of verify_ident2's float mode.
 IDENT_FLOAT_TOL = 1e-12
@@ -75,40 +78,18 @@ def heat(f: Polynomial, t) -> Polynomial:
     """e^{t Delta / 2} f as the terminating series sum_k (t/2)^k Delta^k f / k!.
 
     The series stops once the iterated Laplacian hits zero, which takes
-    at most K = deg(f) // 2 steps, so t of either sign (backward heat
-    included) is fine and the result is exact.  The sum runs in
-    integers: with f = g / D for an integer polynomial g and t/2 = p/q,
-    term k is Delta^k g times p^k q^(K-k) K!/k!, and each coefficient of
-    the sum is divided once by D q^K K!.
+    at most deg(f) // 2 steps, so t of either sign (backward heat
+    included) is fine and the result is exact.  The sum runs on the
+    integer form of f (see _heat_integer).
     """
     t = as_fraction(t)
     if t == 0 or f.is_zero:
         return f
-    half = t / 2
-    p, q = half.numerator, half.denominator
-    big_d = math.lcm(*(c.denominator for _, c in f.items()))
-    # g and its Laplacians hold int coefficients; they never leave heat.
-    term = Polynomial._make({a: c.numerator * (big_d // c.denominator) for a, c in f.items()})
-    top = int(f.degree) // 2
-    weight = q**top * math.factorial(top)
-    denominator = big_d * weight
-    acc = {a: c * weight for a, c in term.items()}
-    k = 1
-    while True:
-        term = laplacian(term)
-        if term.is_zero:
-            break
-        weight = weight * p // (q * k)
-        for a, c in term.items():
-            acc[a] = acc.get(a, 0) + c * weight
-        k += 1
-    return Polynomial._make(
-        {a: Fraction(c, denominator) for a, c in acc.items() if c}
-    )
+    return _fraction_form(*_heat_integer(*_integer_form(f), t))
 
 
 def dilate(f: Polynomial, lam) -> Polynomial:
-    """f(lam x): scales each coefficient by lam^{|alpha|}.
+    """f(lam x): scales each coefficient by lam^{|alpha|}, on the integer form.
 
     lam is an exact scalar (see as_fraction); a float is refused, and a
     caller that means its binary value passes Fraction(lam).
@@ -118,14 +99,54 @@ def dilate(f: Polynomial, lam) -> Polynomial:
         raise ValueError("dilation scale must be nonzero")
     if lam == 1 or f.is_zero:
         return f
-    powers = {0: _F1}
-    out = {}
-    for alpha, c in f.items():
-        d = alpha.degree
-        if d not in powers:
-            powers[d] = lam**d
-        out[alpha] = c * powers[d]
-    return Polynomial._make(out)
+    return _fraction_form(*_dilate_integer(*_integer_form(f), lam))
+
+
+# -- the integer form f = g / d: int coefficients over one denominator d > 0 --
+
+
+def _integer_form(f: Polynomial) -> tuple:
+    d = math.lcm(*(c.denominator for _, c in f.items()))
+    return Polynomial._make({a: c.numerator * (d // c.denominator) for a, c in f.items()}), d
+
+
+def _fraction_form(g: Polynomial, d: int) -> Polynomial:
+    return Polynomial._make({a: Fraction(c, d) for a, c in g.items()})
+
+
+def _heat_integer(g: Polynomial, d: int, t: Fraction) -> tuple:
+    """heat on g / d.  With t/2 = p/q and K = deg(g) // 2, term k of the
+    series is Delta^k g times p^k q^(K-k) K!/k!, over d q^K K!; the gcd
+    of the sum's coefficients and that denominator is divided out once."""
+    if g.is_zero:
+        return g, d
+    half = t / 2
+    p, q = half.numerator, half.denominator
+    top = int(g.degree) // 2
+    weight = q**top * math.factorial(top)
+    d *= weight
+    acc = {a: c * weight for a, c in g.items()}
+    term = g
+    k = 1
+    while True:
+        term = laplacian(term)
+        if term.is_zero:
+            break
+        weight = weight * p // (q * k)
+        for a, c in term.items():
+            acc[a] = acc.get(a, 0) + c * weight
+        k += 1
+    common = math.gcd(d, *acc.values())
+    return Polynomial._make({a: c // common for a, c in acc.items() if c}), d // common
+
+
+def _dilate_integer(g: Polynomial, d: int, lam: Fraction) -> tuple:
+    """dilate on g / d: lam = p/q scales x^alpha by p^|alpha| q^(D-|alpha|) / q^D, D = deg g."""
+    if lam == 1 or g.is_zero:
+        return g, d
+    p, q, top = lam.numerator, lam.denominator, int(g.degree)
+    weights = [p**k * q ** (top - k) for k in range(top + 1)]
+    return Polynomial._make({a: c * weights[a.degree] for a, c in g.items()}), d * q**top
 
 
 # -- Hermite polynomials and expansions -------------------------------------
@@ -160,13 +181,15 @@ def hermite_semigroup(f: Polynomial, s, lam) -> Polynomial:
     runs it backwards, which is still well defined on polynomials.
     Forward heat by s maps each h_{alpha,s} to x^alpha, dilation scales
     x^alpha by lam^{|alpha|}, and backward heat by s maps it back, so the
-    operator is heat(dilate(heat(f, s), lam), -s).
+    operator is heat(dilate(heat(f, s), lam), -s), composed here on the
+    integer form so no coefficient is reduced between the three stages.
     """
     s = variance_of(s)
     lam = as_fraction(lam)
     if lam <= 0:
         raise ValueError(f"the semigroup scale must be positive, got {abbreviate(lam)}")
-    return heat(dilate(heat(f, s), lam), -s)
+    g, d = _heat_integer(*_integer_form(f), s)
+    return _fraction_form(*_heat_integer(*_dilate_integer(g, d, lam), -s))
 
 
 # -- the (s, t, lambda, tau) bookkeeping ------------------------------------
@@ -251,9 +274,11 @@ class VarianceParams:
 class CheckResult:
     """Outcome of an exact identity check with the evidence attached.
 
-    witness = lhs - rhs is the zero polynomial exactly when ok (in float
-    mode, ok means its coefficients are below tolerance relative to the
-    coefficient scale of the two sides, recorded in max_rel_error).
+    witness = lhs - rhs is the zero polynomial exactly when ok; an exact
+    check compares lhs == rhs first and subtracts only on a mismatch.  In
+    float mode, ok means the witness's coefficients are below tolerance
+    relative to the coefficient scale of the two sides, recorded in
+    max_rel_error.
     """
 
     ok: bool
@@ -294,8 +319,14 @@ def verify_ident2(f: Polynomial, params: VarianceParams, float_tol=IDENT_FLOAT_T
                 f"t = {abbreviate(params.t)}, deg f = {f.degree} (largest coefficient "
                 f"{f.coefficient_digits} digits)"
             ) from None
-    witness = lhs - rhs
-    return CheckResult(witness.is_zero, lhs, rhs, witness)
+    return _compare(lhs, rhs)
+
+
+def _compare(lhs: Polynomial, rhs: Polynomial) -> CheckResult:
+    """Exact verdict; lhs - rhs is built only when the sides differ."""
+    if lhs == rhs:
+        return CheckResult(True, lhs, rhs, Polynomial.zero())
+    return CheckResult(False, lhs, rhs, lhs - rhs)
 
 
 def _bracket(f: Polynomial) -> Polynomial:
@@ -306,9 +337,7 @@ def _bracket(f: Polynomial) -> Polynomial:
 def verify_commutator(f: Polynomial) -> CheckResult:
     """Check the bracket [Delta, D] f = 2 Delta f exactly."""
     lhs = _bracket(f)
-    rhs = 2 * laplacian(f)
-    witness = lhs - rhs
-    return CheckResult(witness.is_zero, lhs, rhs, witness)
+    return _compare(lhs, 2 * laplacian(f))
 
 
 def verify_nested_commutator(f: Polynomial) -> CheckResult:
@@ -317,9 +346,7 @@ def verify_nested_commutator(f: Polynomial) -> CheckResult:
     Nesting the bracket once more must vanish because [Delta, D] = 2 Delta
     commutes with Delta.
     """
-    lhs = laplacian(_bracket(f)) - _bracket(laplacian(f))
-    rhs = Polynomial.zero()
-    return CheckResult(lhs.is_zero, lhs, rhs, lhs)
+    return _compare(laplacian(_bracket(f)) - _bracket(laplacian(f)), Polynomial.zero())
 
 
 # -- contraction bookkeeping and the numeric oracle --------------------------

@@ -74,6 +74,15 @@ def polynomials(draw, max_vars=3, max_exponent=4, max_terms=5):
     return Polynomial(pairs)
 
 
+# -- reference dilation -------------------------------------------------------
+
+
+def dilate_by_definition(f, lam):
+    """f(lam x) by its definition: each coefficient c_alpha times lam^|alpha|."""
+    lam = Fraction(lam)
+    return Polynomial([(alpha, c * lam**alpha.degree) for alpha, c in f.items()])
+
+
 # -- reference graded-lex order and basis ------------------------------------
 
 

@@ -11,9 +11,10 @@ import pytest
 
 import gausscalc.gaussian
 import gausscalc.matrixrep
+import gausscalc.semigroups
 from gausscalc.cli import main
-from gausscalc.poly import MultiIndex, Polynomial, serialize
-from gausscalc.semigroups import hermite
+from gausscalc.poly import MultiIndex, Polynomial, parse, serialize
+from gausscalc.semigroups import dilate, heat, hermite
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -633,6 +634,54 @@ class TestLongValues:
         error = captured.err.splitlines()[-1]
         assert "error: " in error and "characters)" in error
         assert len(error) < 200
+
+
+class TestBoundedSummaries:
+    """The stderr summary quotes a polynomial briefly; the report keeps all of it."""
+
+    @pytest.mark.parametrize("argv, key, expected", [
+        (("check-identity", "--f", "x1^12", "--s", "1", "--lambda", "1/1" + "0" * 400),
+         "lhs", lambda: dilate(heat(parse("x1^12"), 1 - Fraction(1, 10**400) ** 2),
+                               Fraction(1, 10**400))),
+        (("hermite", "--alpha", "60,60", "--s", "7/3"),
+         "polynomial", lambda: hermite({1: 60, 2: 60}, Fraction(7, 3))),
+        (("apply-heat", "--f", "x1^40 x2^40", "--t", "5/7"),
+         "output", lambda: heat(parse("x1^40 x2^40"), Fraction(5, 7))),
+        (("check-commutator", "--f", " + ".join(f"{k} x1^{k} x2" for k in range(1, 80))),
+         None, lambda: parse(" + ".join(f"{k} x1^{k} x2" for k in range(1, 80)))),
+    ], ids=["check-identity", "hermite", "apply-heat", "check-commutator"])
+    def test_summary_is_short_and_the_report_whole(self, capsys, argv, key, expected):
+        code, report, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(err) < 300 and err.count("\n") == 1
+        poly = expected()
+        text = report["results"][0][key] if key else report["params"]["f"]
+        digit_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # the sides have coefficients of over 4300 digits
+        try:
+            assert text == serialize(poly) and len(text) > 1000
+        finally:
+            sys.set_int_max_str_digits(digit_limit)
+        assert err.startswith("pass: ")
+        assert err.endswith(f"... ({len(text)} characters) ({len(poly)} terms)\n")
+        assert text[:40] in err
+
+    def test_a_short_polynomial_is_quoted_whole(self, capsys):
+        _, _, err = run_cli(capsys, "apply-heat", "--f", "x1^2", "--t", "1")
+        assert err == "pass: x1^2 + 1 (2 terms)\n"
+        _, _, err = run_cli(capsys, "apply-heat", "--f", "x1", "--t", "1")
+        assert err == "pass: x1 (1 term)\n"
+
+    def test_a_failing_identity_quotes_its_witness(self, capsys, monkeypatch):
+        original = gausscalc.semigroups.hermite_semigroup
+        monkeypatch.setattr(gausscalc.semigroups, "hermite_semigroup",
+                            lambda f, s, lam: original(f, s, lam) + Polynomial.variable(9))
+        code, report, err = run_cli(
+            capsys, "check-identity", "--f", "x1^2", "--s", "4", "--lambda", "1/2"
+        )
+        assert code == 1
+        assert report["results"][0]["witness"] == "-x9"
+        assert err == "fail: witness -x9 (1 term)\n"
 
 
 class TestReadmeExamples:

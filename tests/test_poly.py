@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from gausscalc.poly import (
     parse,
     serialize,
 )
+from gausscalc.semigroups import laplacian
 
 
 class TestMultiIndex:
@@ -51,6 +54,30 @@ class TestMultiIndex:
             MultiIndex([(1, 1), (1, 2)])
         with pytest.raises(TypeError):
             MultiIndex({1: 1.5})
+
+    def test_every_constructor_gives_one_hash_per_exponent_vector(self):
+        # The hash is computed once, on construction; every route to the same
+        # exponents must give an equal key.
+        target = {1: 2, 3: 1}
+        routes = [
+            MultiIndex(target),
+            MultiIndex([(3, 1), (1, 2)]),
+            MultiIndex([(1, 2), (2, 0), (3, 1)]),
+            MultiIndex(MultiIndex(target)),
+            next(a for a, _ in laplacian(parse("x1^2 x2^2 x3")).items() if a.variables == (1, 3)),
+            next(a for a in graded_basis(3, 3).monomials if a.entries == ((1, 2), (3, 1))),
+            next(iter(parse("x3 x1 x1").items()))[0],
+            MultiIndex({1: 1}) * MultiIndex({1: 1, 3: 1}),
+            copy.deepcopy(MultiIndex(target)),
+            pickle.loads(pickle.dumps(MultiIndex(target))),
+        ]
+        table = {routes[0]: "first"}
+        for alpha in routes:
+            assert alpha == routes[0] and hash(alpha) == hash(routes[0]), alpha
+            assert hash(alpha) == hash(((1, 2), (3, 1)))
+            assert table[alpha] == "first"
+        assert len(set(routes)) == 1
+        assert hash(MultiIndex()) == hash(()) and hash(MultiIndex({2: 1})) != hash(routes[0])
 
     def test_graded_lex_order(self):
         x1x2 = MultiIndex({1: 1, 2: 1})

@@ -171,6 +171,36 @@ class TestOperatorCoreOracles:
             f = _mixed_denominator_polynomial(rng)
             assert hermite_semigroup(f, F(7, 5), lam) == _semigroup_oracle(f, F(7, 5), lam)
 
+    def test_semigroup_is_the_literal_composition(self):
+        # The integer form keeps one denominator through heat, dilate and heat;
+        # the public operators reduce to lowest terms after every stage.
+        rng = random.Random(131)
+        big_s = F(123456789012345678901234567890, 987654321098765432109876543211)
+        # float mode embeds the float sqrt of lam^2 exactly: a dyadic with 2^52 below
+        dyadic = F(VarianceParams.from_times(1, F(1, 3)).lam_float)
+        assert dyadic.denominator == 2**52
+        scales = [F(1), F(1, 2), F(7, 2), F(5, 3), dyadic, F(2**40 + 1, 3**25)]
+        polys = [Polynomial.zero(), Polynomial.constant(F(-7, 3)), parse("x1^2 - 1/3")]
+        polys += [helpers.random_polynomial(rng, max_degree=10) for _ in range(8)]
+        polys += [_mixed_denominator_polynomial(rng) for _ in range(4)]
+        for f in polys:
+            for s in (F(1), F(3, 2), big_s):
+                for lam in scales:
+                    g = hermite_semigroup(f, s, lam)
+                    assert g == heat(dilate(heat(f, s), lam), -s), (f, s, lam)
+                    _assert_canonical(g)
+
+    def test_dilate_matches_its_definition(self):
+        rng = random.Random(137)
+        scales = [F(1), F(-1), F(1, 2), F(-5, 3), F(7, 2), F(math.sqrt(2 / 3)), F(2**61 - 1, 10**12)]
+        polys = [helpers.random_polynomial(rng, max_degree=12) for _ in range(20)]
+        polys += [_mixed_denominator_polynomial(rng) for _ in range(10)]
+        for f in polys + [Polynomial.zero(), Polynomial.constant(F(-9, 4))]:
+            for lam in scales:
+                g = dilate(f, lam)
+                assert g == helpers.dilate_by_definition(f, lam), (f, lam)
+                _assert_canonical(g)
+
     def test_resum_matches_the_per_basis_sum(self):
         rng = random.Random(127)
         for _ in range(20):
@@ -534,6 +564,22 @@ class TestIdentityChecks:
                     assert result.mode == "exact"
                     assert result.witness.is_zero
 
+    def test_a_passing_check_returns_the_zero_witness(self):
+        result = verify_ident2(parse("x1^3 x2 - 2/3 x2^2"), VarianceParams.from_scale(3, F(3, 4)))
+        assert result.ok and result.lhs == result.rhs
+        assert result.witness == Polynomial.zero() and len(result.witness) == 0
+
+    def test_a_perturbed_side_fails_with_the_literal_difference(self, monkeypatch):
+        original = gausscalc.semigroups.hermite_semigroup
+        extra = parse("1/5 x1 x2^3 - 1")
+        monkeypatch.setattr(gausscalc.semigroups, "hermite_semigroup",
+                            lambda f, s, lam: original(f, s, lam) + extra)
+        f = parse("x1^4 x2^2 - 3 x1 x2 + 1/2")
+        result = verify_ident2(f, VarianceParams.from_scale(2, F(2, 5)))
+        assert not result.ok
+        assert result.witness == result.lhs - result.rhs == -extra
+        assert result.lhs == dilate(heat(f, F(2) * (1 - F(4, 25))), F(2, 5))
+
     def test_float_mode_when_lambda_is_irrational(self):
         params = VarianceParams.from_times(1, F(1, 3))
         result = verify_ident2(parse("x1^3 - x1 x2 + 2"), params)
@@ -570,6 +616,24 @@ class TestCommutators:
             result = verify_nested_commutator(helpers.random_polynomial(rng))
             assert result.ok
             assert result.lhs.is_zero
+
+    def test_passing_brackets_return_the_zero_witness(self):
+        f = parse("x1^5 x2^2 - 4 x3^3 + 1/7")
+        for result in (verify_commutator(f), verify_nested_commutator(f)):
+            assert result.ok and result.lhs == result.rhs
+            assert result.witness == Polynomial.zero()
+
+    def test_a_perturbed_bracket_fails_with_the_literal_difference(self, monkeypatch):
+        original = gausscalc.semigroups._bracket
+        monkeypatch.setattr(gausscalc.semigroups, "_bracket", lambda f: original(f) + parse("x3"))
+        f = parse("x1^4 x2 - 2 x2^3")
+        first = verify_commutator(f)
+        assert not first.ok
+        assert first.witness == first.lhs - first.rhs == parse("x3")
+        # Delta(B f + x3) - (B Delta f + x3) = -x3
+        nested = verify_nested_commutator(f)
+        assert not nested.ok and nested.rhs.is_zero
+        assert nested.witness == nested.lhs - nested.rhs == parse("-x3")
 
     def test_squared_laplacian_bracket(self):
         # [Delta^2, D] = 4 Delta^2, the degree-two echo of [Delta, D] = 2 Delta
