@@ -21,6 +21,7 @@ from .gaussian import DEFAULT_BUDGET, check_seed, inner_product, lp_norm, varian
 from .matrixrep import BCH_TOL, bch_check, graded_basis
 from .poly import MultiIndex, Polynomial, abbreviate, as_fraction, parse, serialize
 from .semigroups import (
+    CONVOLUTION_TOL,
     IDENT_FLOAT_TOL,
     VarianceParams,
     heat,
@@ -64,13 +65,6 @@ def _integer(text: str) -> int:
     if not re.fullmatch("-?[0-9]+", text):
         raise ValueError(f"not an integer: {abbreviate(repr(text))}")
     return int(text)
-
-
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"not a number: {abbreviate(repr(text))}") from None
 
 
 def _multi_index(text: str) -> MultiIndex:
@@ -122,23 +116,12 @@ def _int_at_least(lowest: int):
 _rational_arg = _arg(as_fraction)
 _positive_rational_arg = _arg(as_fraction, lambda v: v > 0, "must be positive")
 _gt1_rational_arg = _arg(as_fraction, lambda v: v > 1, "must be greater than 1")
-_positive_float_arg = _arg(_float, lambda v: 0 < v < math.inf, "must be positive and finite")
 # parse is looked up per call, so a rebinding of this module's name (as
 # bench/tracer.py does to count calls) is seen.
 _poly_arg = _arg(lambda text: parse(text))
 _grid_arg = _arg(lambda text: tuple(as_fraction(part) for part in text.split(",")))
 _alpha_arg = _arg(_multi_index)
 _point_arg = _arg(_point)
-
-
-def _params_from_args(args) -> VarianceParams:
-    if args.lam is not None and args.t is not None:
-        raise ValueError("give either --lambda or --t, not both")
-    if args.lam is not None:
-        return VarianceParams.from_scale(args.s, args.lam)
-    if args.t is not None:
-        return VarianceParams.from_times(args.s, args.t)
-    raise ValueError("one of --lambda or --t is required")
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -161,8 +144,11 @@ def _check_record(name, result) -> dict:
 
 
 def _cmd_check_identity(args):
-    params = _params_from_args(args)
-    result = verify_ident2(args.f, params, float_tol=args.tol)
+    if args.lam is not None:
+        params = VarianceParams.from_scale(args.s, args.lam)
+    else:
+        params = VarianceParams.from_times(args.s, args.t)
+    result = verify_ident2(args.f, params)
     report_params = {
         "f": serialize(args.f),
         "s": _rat(params.s),
@@ -170,7 +156,7 @@ def _cmd_check_identity(args):
         "lambda": _rat(params.lam) if params.lam is not None else None,
         "lambda_squared": _rat(params.lam_sq),
         "tau": params.tau,
-        "tol": args.tol,
+        "tol": IDENT_FLOAT_TOL,
     }
     record = _check_record("dilated heat flow vs Hermite coefficient decay", result)
     record.update(mode=result.mode, max_rel_error=result.max_rel_error)
@@ -198,7 +184,7 @@ def _cmd_check_commutator(args):
 
 def _cmd_bch_check(args):
     basis = graded_basis(args.m, args.n)
-    report = bch_check(args.s, args.lam, basis, tol=args.tol)
+    report = bch_check(args.s, args.lam, basis)
     record = {
         "name": "exponential factorization",
         "dim": report.dim,
@@ -217,7 +203,7 @@ def _cmd_bch_check(args):
         "t": _rat(report.t),
         "lambda": _rat(report.lam),
         "tau": report.tau,
-        "tol": args.tol,
+        "tol": BCH_TOL,
     }
     verdict = "pass" if report.ok else "fail"
     return (
@@ -372,7 +358,7 @@ def _cmd_contraction(args):
 
 
 def _cmd_convolution_check(args):
-    result = heat_convolution_oracle(args.f, args.t, args.x, args.nodes)
+    result = heat_convolution_oracle(args.f, args.t, args.x)
     record = {
         "name": "kernel integration vs series",
         "numeric": result.numeric_value,
@@ -386,9 +372,9 @@ def _cmd_convolution_check(args):
         "t": _rat(args.t),
         "x": point_text,
         "nodes": result.nodes,
-        "tol": args.tol,
+        "tol": CONVOLUTION_TOL,
     }
-    verdict = "pass" if result.rel_discrepancy <= args.tol else "fail"
+    verdict = "pass" if result.rel_discrepancy <= CONVOLUTION_TOL else "fail"
     return (
         _report("convolution-check", params, [record], verdict),
         f"{verdict}: relative discrepancy {result.rel_discrepancy:.3e}",
@@ -423,12 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
             "dilated heat flow vs Hermite coefficient decay on one polynomial")
     p.add_argument("--f", type=_poly_arg, required=True, help="polynomial text")
     p.add_argument("--s", type=_positive_rational_arg, required=True)
-    p.add_argument("--lambda", dest="lam", type=_positive_rational_arg, default=None,
-                   help="scale; t = s(1 - lambda^2) is derived")
-    p.add_argument("--t", type=_rational_arg, default=None,
-                   help="time; the scale is sqrt((s-t)/s), exact only for perfect squares")
-    p.add_argument("--tol", type=_positive_float_arg, default=IDENT_FLOAT_TOL,
-                   help="relative tolerance for the float path (irrational scale)")
+    scale = p.add_mutually_exclusive_group(required=True)
+    scale.add_argument("--lambda", dest="lam", type=_positive_rational_arg,
+                       help="scale; t = s(1 - lambda^2) is derived")
+    scale.add_argument("--t", type=_rational_arg,
+                       help="time; the scale is sqrt((s-t)/s), exact only for perfect squares")
 
     p = add("check-commutator", _cmd_check_commutator,
             "bracket identities of the Laplacian and Euler operators")
@@ -440,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(0), required=True, help="max degree")
     p.add_argument("--s", type=_positive_rational_arg, required=True)
     p.add_argument("--lambda", dest="lam", type=_positive_rational_arg, required=True)
-    p.add_argument("--tol", type=_positive_float_arg, default=BCH_TOL)
 
     p = add("hermite", _cmd_hermite, "print one Hermite polynomial")
     p.add_argument("--alpha", type=_alpha_arg, required=True,
@@ -485,10 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_positive_rational_arg, required=True)
     p.add_argument("--x", type=_point_arg, default={},
                    help="evaluation point like 'x1=1/2,x2=-3' (missing variables are 0)")
-    p.add_argument("--nodes", type=_int_at_least(1), default=None,
-                   help="quadrature nodes per variable (default: enough for deg f, plus margin)")
-    p.add_argument("--tol", type=_positive_float_arg, default=1e-10,
-                   help="relative discrepancy allowed")
 
     return parser
 

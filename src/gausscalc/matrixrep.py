@@ -314,7 +314,8 @@ class BchReport:
     float route takes four numpy expm calls: Pade for the triangular
     left-hand side, the diagonal short cut for e^{-tau D}, and the
     nilpotent Taylor sum for e^{cA} in (i) and e^{(t/2) Laplacian} in (ii).
-    bch_rel_err and bch2_rel_err are the gaps of (i) and (ii).  The exact
+    bch_rel_err and bch2_rel_err are the gaps of (i) and (ii); ok needs
+    them and scalar_abs_err within BCH_TOL, and the exact route.  The exact
     route scales row i of the terminating Laplacian exponential by
     lam^{|alpha_i|} and compares column by column with the
     Hermite-coefficient decay operator.
@@ -334,7 +335,6 @@ class BchReport:
     scalar_abs_err: float
     exact_route_ok: bool
     exact_witness: str | None
-    tol: float
     ok: bool
 
 
@@ -343,12 +343,12 @@ def _rel_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def bch_check(s, lam, basis: GradedBasis, tol: float = BCH_TOL) -> BchReport:
+def bch_check(s, lam, basis: GradedBasis) -> BchReport:
     """Verify the noncommutative exponential factorization on a graded basis.
 
     With A = s*Laplacian and B = -Euler, the left-hand side
     e^{tau(A+B)} = e^{-tau N_s} and the factor e^{tau B} = e^{-tau D} are
-    each exponentiated once.  Compares, entrywise in floats to `tol`, that
+    each exponentiated once.  Compares, entrywise in floats to BCH_TOL, that
     left-hand side against (i) e^{-tau D} e^{c A} with
     c = (e^{-2 tau}-1)/(-2) from the bracket [A, B] = -2A, and
     (ii) e^{-tau D} e^{(t/2) Laplacian} with the exact t; plus the scalar
@@ -357,8 +357,6 @@ def bch_check(s, lam, basis: GradedBasis, tol: float = BCH_TOL) -> BchReport:
     every basis monomial reproduces hermite_semigroup of that monomial,
     and names the first monomial where it does not.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     lam = as_fraction(lam)
     if not 0 < lam <= 1:
         raise ValueError(f"need a scale in (0, 1], got {abbreviate(lam)}")
@@ -411,9 +409,9 @@ def bch_check(s, lam, basis: GradedBasis, tol: float = BCH_TOL) -> BchReport:
             break
 
     ok = (
-        bch_rel_err <= tol
-        and bch2_rel_err <= tol
-        and scalar_abs_err <= tol
+        bch_rel_err <= BCH_TOL
+        and bch2_rel_err <= BCH_TOL
+        and scalar_abs_err <= BCH_TOL
         and exact_ok
     )
     return BchReport(
@@ -431,6 +429,5 @@ def bch_check(s, lam, basis: GradedBasis, tol: float = BCH_TOL) -> BchReport:
         scalar_abs_err=scalar_abs_err,
         exact_route_ok=exact_ok,
         exact_witness=witness,
-        tol=tol,
         ok=ok,
     )

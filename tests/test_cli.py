@@ -65,7 +65,23 @@ class TestCheckIdentity:
         )
         assert code == 2
         assert report is None
-        assert "not both" in err
+        assert "argument --t: not allowed with argument --lambda" in err
+
+    def test_a_perturbed_float_side_exits_one(self, capsys, monkeypatch):
+        # A gap of 1e-11 relative fails IDENT_FLOAT_TOL = 1e-12 and would
+        # pass the looser BCH_TOL or CONVOLUTION_TOL.
+        real = gausscalc.semigroups.hermite_semigroup
+        monkeypatch.setattr(gausscalc.semigroups, "hermite_semigroup",
+                            lambda f, s, lam: real(f, s, lam) + Fraction(1, 10**11))
+        code, report, err = run_cli(
+            capsys, "check-identity", "--f", "x1^3", "--s", "1", "--t", "1/3"
+        )
+        assert code == 1
+        assert report["verdict"] == "fail"
+        record = report["results"][0]
+        assert record["mode"] == "float" and record["ok"] is False
+        assert report["params"]["tol"] < record["max_rel_error"] < 1e-10
+        assert err.startswith("fail: witness")
 
     def test_one_of_scale_or_time_is_required(self, capsys):
         code, _, err = run_cli(capsys, "check-identity", "--f", "x1", "--s", "1")
@@ -128,17 +144,26 @@ class TestBchCheck:
         assert "exact route FAILED" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("check-identity", "--f", "x1^2", "--s", "4", "--lambda", "1/2"),
-    ("bch-check", "--m", "1", "--n", "2", "--s", "4", "--lambda", "1/2"),
-    ("convolution-check", "--f", "x1^2", "--t", "1"),
+@pytest.mark.parametrize("argv, module, constant", [
+    (("check-identity", "--f", "x1^3", "--s", "1", "--t", "1/3"),
+     gausscalc.semigroups, "IDENT_FLOAT_TOL"),
+    (("bch-check", "--m", "1", "--n", "2", "--s", "4", "--lambda", "1/2"),
+     gausscalc.matrixrep, "BCH_TOL"),
+    (("convolution-check", "--f", "x1^2", "--t", "1"), gausscalc.semigroups, "CONVOLUTION_TOL"),
 ])
-@pytest.mark.parametrize("tol", ["inf", "1e309", "-inf", "nan", "0", "-1", "abc"])
-def test_tol_must_be_positive_and_finite(capsys, argv, tol):
-    code, report, err = run_cli(capsys, *argv, f"--tol={tol}")
-    assert code == 2
-    assert report is None
-    assert "--tol" in err
+def test_reported_tol_is_the_constant_the_verdict_used(capsys, argv, module, constant):
+    # The benchmark masks floats, so only a test sees the printed tol drift.
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0
+    tol = report["params"]["tol"]
+    assert tol == getattr(module, constant)
+    record = report["results"][0]
+    gaps = {
+        "check-identity": ("max_rel_error",),
+        "bch-check": ("bch_rel_err", "bch2_rel_err", "scalar_abs_err"),
+        "convolution-check": ("rel_discrepancy",),
+    }[argv[0]]
+    assert all(record[gap] <= tol for gap in gaps)
 
 
 class TestHermiteCommand:
@@ -415,6 +440,17 @@ class TestConvolutionCheck:
         assert record["algebraic"] == 25.0
         assert record["rel_discrepancy"] <= 1e-10
 
+    def test_a_perturbed_series_exits_one(self, capsys, monkeypatch):
+        real = gausscalc.semigroups.heat
+        monkeypatch.setattr(gausscalc.semigroups, "heat",
+                            lambda f, t: real(f, t) + Fraction(1, 10**9))
+        code, report, err = run_cli(capsys, "convolution-check", "--f", "x1^2", "--t", "1")
+        assert code == 1
+        assert report["verdict"] == "fail"
+        assert report["params"]["nodes"] == 2 // 2 + 5
+        assert report["params"]["tol"] < report["results"][0]["rel_discrepancy"]
+        assert err.startswith("fail: relative discrepancy")
+
     def test_bad_point_syntax(self, capsys):
         code, _, _ = run_cli(
             capsys, "convolution-check", "--f", "x1", "--t", "1", "--x", "y1=2"
@@ -449,31 +485,35 @@ class TestStrictIntegers:
     SCAN = ("hypercontractivity-scan", "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2")
     CONVOLVE = ("convolution-check", "--f", "x1^2", "--t", "1")
 
-    @pytest.mark.parametrize("argv", [
-        ("hermite", "--alpha", "+2,1_0", "--s", "1"),
-        CONVOLVE + ("--x", "x+1=2"),
-        CONVOLVE + ("--x", "x 1=2"),
-        CONVOLVE + ("--x", "x\u0663=2"),
-        ("bch-check", "--m", "+2", "--n", "1_0", "--s", "1", "--lambda", "1/2"),
-        ("bch-check", "--m", "2", "--n", "1_0", "--s", "1", "--lambda", "1/2"),
-        ("nonclosability-demo", "--s", "1", "--n", "\u0663"),
-        CONVOLVE + ("--nodes", "1_0"),
-        SCAN + ("--budget", "+401"),
-        SCAN + ("--seed", "1_0"),
-        ("apply-heat", "--f", "\u0663x1", "--t", "1"),
-    ])
+    # Each argv, with the option argparse must name in its refusal.
+    MALFORMED = {
+        ("hermite", "--alpha", "+2,1_0", "--s", "1"): "--alpha",
+        CONVOLVE + ("--x", "x+1=2"): "--x",
+        CONVOLVE + ("--x", "x 1=2"): "--x",
+        CONVOLVE + ("--x", "x\u0663=2"): "--x",
+        ("bch-check", "--m", "+2", "--n", "1_0", "--s", "1", "--lambda", "1/2"): "--m",
+        ("bch-check", "--m", "2", "--n", "1_0", "--s", "1", "--lambda", "1/2"): "--n",
+        ("nonclosability-demo", "--s", "1", "--n", "\u0663"): "--n",
+        SCAN + ("--degree-cap", "1_0"): "--degree-cap",
+        SCAN + ("--budget", "+401"): "--budget",
+        SCAN + ("--seed", "1_0"): "--seed",
+        ("apply-heat", "--f", "\u0663x1", "--t", "1"): "--f",
+    }
+
+    @pytest.mark.parametrize("argv", list(MALFORMED))
     def test_malformed_integers_rejected(self, capsys, argv):
         # int() alone would read '+2', '1_0' and non-ASCII digits.
         code = main(list(argv))
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
+        assert f"argument {self.MALFORMED[argv]}: " in captured.err
 
     @pytest.mark.parametrize("argv, message", [
         (("bch-check", "--m", "0", "--n", "2", "--s", "1", "--lambda", "1/2"), "at least 1, got 0"),
         (("bch-check", "--m", "1", "--n=-1", "--s", "1", "--lambda", "1/2"), "at least 0, got -1"),
         (("nonclosability-demo", "--s", "1", "--n", "0"), "at least 1, got 0"),
-        (CONVOLVE + ("--nodes", "0"), "at least 1, got 0"),
+        (SCAN + ("--budget", "0"), "at least 1, got 0"),
     ])
     def test_out_of_range_integers_name_the_bound(self, capsys, argv, message):
         code = main(list(argv))

@@ -9,6 +9,7 @@ import gausscalc.matrixrep
 import gausscalc.semigroups
 import helpers
 from gausscalc.matrixrep import (
+    BCH_TOL,
     DIMENSION_CAP,
     BchReport,
     OperatorMatrix,
@@ -416,8 +417,8 @@ class TestBchCheck:
         assert report.ok
         assert report.dim == 3
         assert report.t == 3
-        assert report.bch_rel_err <= report.tol
-        assert report.bch2_rel_err <= report.tol
+        assert report.bch_rel_err <= BCH_TOL
+        assert report.bch2_rel_err <= BCH_TOL
         assert report.exact_route_ok
         assert report.exact_witness is None
 
@@ -438,7 +439,7 @@ class TestBchCheck:
     def test_two_variable_grid(self):
         for s in (F(1), F(4)):
             for lam in (F(1, 2), F(2, 3)):
-                report = bch_check(s, lam, graded_basis(2, 4), tol=1e-10)
+                report = bch_check(s, lam, graded_basis(2, 4))
                 assert report.ok, (s, lam)
                 assert report.t == s * (1 - lam * lam)
 
@@ -494,12 +495,10 @@ class TestBchCheck:
         assert report.exact_route_ok is False
         assert report.ok is False
         assert report.exact_witness == str(target)
-        assert max(report.bch_rel_err, report.bch2_rel_err) <= report.tol
+        assert max(report.bch_rel_err, report.bch2_rel_err) <= BCH_TOL
 
     def test_validation(self):
         basis = graded_basis(1, 2)
-        with pytest.raises(ValueError):
-            bch_check(1, F(1, 2), basis, tol=0.0)
         with pytest.raises(ValueError):
             bch_check(1, 0, basis)
         with pytest.raises(ValueError):
