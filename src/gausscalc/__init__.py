@@ -10,8 +10,8 @@ reported time constant `VarianceParams.tau`, the float mode of
 `semigroups.heat_convolution_oracle`, and the numpy `expm` route of
 `matrixrep.bch_check`.  The numeric layer (`gaussian`) integrates
 against the product Gaussian measure by tensor Gauss-Hermite quadrature
-and seeded Monte Carlo, and exists to cross-check the symbolic layer
-through an independent, measure-level route.
+and Monte Carlo with a fixed key, and exists to cross-check the
+symbolic layer through an independent, measure-level route.
 """
 
 from .gaussian import (

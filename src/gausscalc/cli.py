@@ -4,8 +4,8 @@ Every subcommand prints a single JSON report to stdout and a one-line
 human summary to stderr.  Exit code 0 means the checked property held
 (or the run was informational), 1 means a checked identity or
 inequality verifiably failed, 2 means the invocation itself was bad.
-Rationals cross this boundary as "p/q" strings, never as floats, and a
-fixed seed makes reruns byte-identical.
+Rationals cross this boundary as "p/q" strings, never as floats.  No
+numeric oracle takes a setting, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .gaussian import DEFAULT_BUDGET, check_seed, inner_product, lp_norm, variance_of
+from .gaussian import LP_QUADRATURE_NODES, MC_KEY, inner_product, lp_norm, variance_of
 from .matrixrep import BCH_TOL, bch_check, graded_basis
 from .poly import MultiIndex, Polynomial, abbreviate, as_fraction, parse, serialize
 from .semigroups import (
@@ -36,6 +36,9 @@ from .semigroups import (
 )
 
 _EXIT_BY_VERDICT = {"pass": 0, "inconclusive": 0, "fail": 1}
+
+#: The heat time at which nonclosability-demo checks P_t f_n - f_n = t.
+_DEMO_T = Fraction(1, 2)
 
 
 def _rat(x) -> str:
@@ -242,8 +245,8 @@ def _cmd_nonclosability_demo(args):
     norm_sq = inner_product(f_n, f_n, s)
     expected_norm_sq = 2 * s * s / args.n
     lap = laplacian(f_n)
-    shift = heat(f_n, args.t) - f_n
-    ok = norm_sq == expected_norm_sq and lap == 2 and shift == Polynomial.constant(args.t)
+    shift = heat(f_n, _DEMO_T) - f_n
+    ok = norm_sq == expected_norm_sq and lap == 2 and shift == Polynomial.constant(_DEMO_T)
     record = {
         "name": "vanishing sequence with constant Laplacian",
         "norm_squared": _rat(norm_sq),
@@ -252,7 +255,7 @@ def _cmd_nonclosability_demo(args):
         "heat_minus_identity": serialize(shift),
         "ok": ok,
     }
-    params = {"s": _rat(s), "n": args.n, "t": _rat(args.t)}
+    params = {"s": _rat(s), "n": args.n, "t": _rat(_DEMO_T)}
     verdict = "pass" if ok else "fail"
     return (
         _report("nonclosability-demo", params, [record], verdict),
@@ -269,12 +272,12 @@ def _battery(s: Fraction, degree_cap: int, epsilon_grid) -> list:
     return functions
 
 
-def _contraction_records(p, q, s, t, degree_cap, epsilon_grid, budget, seed):
+def _contraction_records(p, q, s, t, degree_cap, epsilon_grid):
     """Test every battery function; returns (records, first_violation_index).
 
     Outside the exact L^2 case a function expands only when its two norms
     differ by more than their summed error bounds, each valid whatever the
-    other drew: every Monte Carlo cross-check draws from Philox(key=seed).
+    other drew: every Monte Carlo cross-check draws from Philox(key=MC_KEY).
     """
     exact_l2 = p == 2 and q == 2 and t > 0
     records = []
@@ -288,14 +291,14 @@ def _contraction_records(p, q, s, t, degree_cap, epsilon_grid, budget, seed):
             record["ratio"] = math.sqrt(float(ratio_sq))
             violated = ratio_sq > 1
         else:
-            lhs = lp_norm(heat(f, t), q, s - t, budget=budget, seed=seed)
-            rhs = lp_norm(f, p, s, budget=budget, seed=seed)
+            lhs = lp_norm(heat(f, t), q, s - t)
+            rhs = lp_norm(f, p, s)
             exact = lhs.method == rhs.method == "exact"
             record["method"] = "exact" if exact else "quadrature"
             record["lhs"] = lhs.value
             record["rhs"] = rhs.value
             record["error_bound"] = lhs.abs_error_bound + rhs.abs_error_bound
-            record["ratio"] = lhs.value / rhs.value if rhs.value else math.inf
+            record["ratio"] = lhs.value / rhs.value
             violated = lhs.value - rhs.value > record["error_bound"]
         record["contractive"] = not violated
         records.append(record)
@@ -334,8 +337,7 @@ def _cmd_contraction(args):
     # Contractivity holds exactly when (q-1)/(p-1) <= s/(s-t) = 1/lam^2.
     condition_holds = (args.q - 1) * scale.lam_sq <= (args.p - 1)
     records, violation = _contraction_records(
-        args.p, args.q, scale.s, scale.t, args.degree_cap, args.epsilon_grid,
-        args.budget, args.seed,
+        args.p, args.q, scale.s, scale.t, args.degree_cap, args.epsilon_grid
     )
     params = {
         "p": _rat(args.p),
@@ -345,7 +347,7 @@ def _cmd_contraction(args):
         "t": _rat(scale.t),
         "degree_cap": args.degree_cap,
         "epsilon_grid": [_rat(e) for e in args.epsilon_grid],
-        "budget": args.budget,
+        "budget": LP_QUADRATURE_NODES,
         "condition_holds": condition_holds,
     }
     witness = None if violation is None else records[violation]["f"]
@@ -354,7 +356,7 @@ def _cmd_contraction(args):
     )
     if args.command == "sharpness-probe":
         params["witness"] = witness
-    return _report(args.command, params, records, verdict, seed=args.seed), summary
+    return {**_report(args.command, params, records, verdict), "seed": MC_KEY}, summary
 
 
 def _cmd_convolution_check(args):
@@ -384,11 +386,8 @@ def _cmd_convolution_check(args):
 # -- plumbing ----------------------------------------------------------------
 
 
-def _report(command, params, results, verdict, seed=None):
-    report = {"command": command, "params": params, "results": results, "verdict": verdict}
-    if seed is not None:
-        report["seed"] = seed
-    return report
+def _report(command, params, results, verdict):
+    return {"command": command, "params": params, "results": results, "verdict": verdict}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
             "vanishing sequence whose Laplacian stays constant")
     p.add_argument("--s", type=_positive_rational_arg, required=True)
     p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--t", type=_rational_arg, default=Fraction(1, 2))
 
     for name, help_text in (
         ("hypercontractivity-scan", "norm contraction over the documented battery"),
@@ -458,10 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--degree-cap", type=_int_at_least(0), default=6)
         p.add_argument("--epsilon-grid", type=_grid_arg,
                        default=(Fraction(1, 2), Fraction(1, 10)))
-        p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BUDGET,
-                       help="quadrature nodes per variable, for a non-even p or q")
-        p.add_argument("--seed", type=_arg(lambda text: check_seed(_integer(text))), default=0,
-                       help="Philox key of every Monte Carlo cross-check of the scan")
 
     p = add("convolution-check", _cmd_convolution_check,
             "heat kernel integration vs the series, at one point")

@@ -5,8 +5,9 @@ integrand) depends on finitely many coordinates, and each coordinate is
 an independent N(0, s) variable.  Exact rational moments and inner
 products come from the even-moment formula, and so does the L^p norm
 for even integer p, where |f|^p = f^p is a polynomial.  Other L^p norms
-come from tensor Gauss-Hermite quadrature with a seeded Monte Carlo
-cross-check.
+come from tensor Gauss-Hermite quadrature with a Monte Carlo
+cross-check.  Neither oracle takes a setting: the node count and the
+generator's key are the constants below.
 """
 
 from __future__ import annotations
@@ -28,8 +29,11 @@ NODE_CAP = 10**8
 #: Monte Carlo sample count of every cross-check.
 MC_DEFAULT_SAMPLES = 10**6
 
+#: Philox key of every cross-check.
+MC_KEY = 0
+
 #: Gauss-Hermite nodes per variable of a non-even L^p norm.
-DEFAULT_BUDGET = 401
+LP_QUADRATURE_NODES = 401
 
 
 def variance_of(s) -> Fraction:
@@ -267,11 +271,11 @@ def expectation_quadrature(integrand, variables, s, nodes_per_var: int) -> float
 _MC_BLOCK = 1 << 14
 
 
-def _monte_carlo_abs_power_mean(f: Polynomial, p: float, s, samples: int, seed: int):
+def _monte_carlo_abs_power_mean(f: Polynomial, p: float, s, samples: int):
     """Monte Carlo estimate of E|f|^p with its standard error, Philox stream.
 
     The samples are drawn and reduced _MC_BLOCK rows at a time from one
-    Philox(key=seed) generator; consecutive draws continue one stream, so
+    Philox(key=MC_KEY) generator; consecutive draws continue one stream, so
     the samples are exactly those of a single draw of all of them.  With
     three variables one block's draws, Horner intermediates and |f|^p
     stay under about 1 MB; smaller blocks only add per-block overhead.
@@ -283,7 +287,7 @@ def _monte_carlo_abs_power_mean(f: Polynomial, p: float, s, samples: int, seed: 
     """
     s = variance_of(s)
     variables = f.active_variables
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=MC_KEY))
     scale = math.sqrt(s)
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, samples, _MC_BLOCK):
@@ -306,34 +310,22 @@ def _monte_carlo_abs_power_mean(f: Polynomial, p: float, s, samples: int, seed: 
     return mean, math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
 
 
-def check_seed(seed: int) -> int:
-    """seed, refused with ValueError unless it is a Philox key: an integer in [0, 2**128)."""
-    if not 0 <= seed < 2**128:
-        raise ValueError(
-            f"the Monte Carlo seed must be at least 0 and below 2**128, got {abbreviate(seed)}"
-        )
-    return seed
-
-
-def lp_norm(f: Polynomial, p, s, budget: int = DEFAULT_BUDGET, seed: int = 0) -> LpEstimate:
+def lp_norm(f: Polynomial, p, s) -> LpEstimate:
     """(E_{mu_s}|f|^p)^(1/p), numerically.
 
     Even integer p: the p-th root of the exact moment E_s[f^p], with a
     bound on its float rounding proven in rationals.
-    Other p >= 1: quadrature with `budget` nodes per variable plus a
-    cross-check of MC_DEFAULT_SAMPLES Monte Carlo draws from
-    Philox(key=seed), whose 3-sigma standard error, pushed through the
+    Other p >= 1: quadrature with LP_QUADRATURE_NODES nodes per variable
+    plus a cross-check of MC_DEFAULT_SAMPLES Monte Carlo draws from
+    Philox(key=MC_KEY), whose 3-sigma standard error, pushed through the
     p-th root, is the reported bound.
-    The budget must be at least 1 and the seed pass check_seed, whatever
-    p is.  A p, constant or estimate beyond the float range, and a
-    nonconstant f whose estimates both underflow to 0, raise ValueError.
+    A p, constant or estimate beyond the float range, and a nonconstant
+    f whose norm underflows to 0, raise ValueError, so a nonconstant f's
+    norm is positive.
     """
     p_text = abbreviate(p)
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p_text}")
-    if budget < 1:
-        raise ValueError(f"the node budget must be at least 1, got {budget}")
-    check_seed(seed)
     s = variance_of(s)
 
     def not_finite(what="not finite"):
@@ -365,6 +357,8 @@ def lp_norm(f: Polynomial, p, s, budget: int = DEFAULT_BUDGET, seed: int = 0) ->
             value = math.exp((math.log(mean.numerator) - math.log(mean.denominator)) / k)
         except OverflowError:
             raise not_finite() from None
+        if not value:
+            raise not_finite("underflows to 0")
         exact, bound = Fraction(value), 0.0
         if exact**k != mean:
             bound = math.ulp(value)
@@ -379,26 +373,20 @@ def lp_norm(f: Polynomial, p, s, budget: int = DEFAULT_BUDGET, seed: int = 0) ->
             return np.abs(f.evaluate(point)) ** p
 
     try:
-        mean = expectation_quadrature(integrand, variables, s, budget)
-        mc_mean, mc_std_err = _monte_carlo_abs_power_mean(f, p, s, MC_DEFAULT_SAMPLES, seed)
+        mean = expectation_quadrature(integrand, variables, s, LP_QUADRATURE_NODES)
+        mc_mean, mc_std_err = _monte_carlo_abs_power_mean(f, p, s, MC_DEFAULT_SAMPLES)
     except OverflowError:  # a coefficient beyond the float range
         raise not_finite() from None
     if not all(map(math.isfinite, (mean, mc_mean, mc_std_err))):
         raise not_finite()
-    if not (mean or mc_mean):  # a nonconstant f has a positive norm
+    if not mean:  # every summand is >= 0, and a nonconstant f has a positive norm
         raise not_finite("underflows to 0")
-    mean = max(mean, 0.0)
-    value = mean ** (1.0 / p)
-    if mean > 0:
-        bound = (1.0 / p) * mean ** (1.0 / p - 1.0) * 3.0 * mc_std_err
-    else:
-        bound = 3.0 * mc_std_err ** (1.0 / p)
-    cross = mc_mean ** (1.0 / p) if mc_mean > 0 else 0.0
+    bound = (1.0 / p) * mean ** (1.0 / p - 1.0) * 3.0 * mc_std_err
     return LpEstimate(
-        value,
+        mean ** (1.0 / p),
         bound,
         "quadrature",
-        budget ** len(variables),
-        cross_check=cross,
+        LP_QUADRATURE_NODES ** len(variables),
+        cross_check=mc_mean ** (1.0 / p),
         cross_check_samples=MC_DEFAULT_SAMPLES,
     )

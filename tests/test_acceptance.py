@@ -156,9 +156,9 @@ def test_criterion_08_lp_contraction_on_the_battery(capsys):
     for p, q, lam in cases:
         assert (q - 1) * lam * lam <= (p - 1)  # contractive regime
         t = s * (1 - lam * lam)
-        for idx, f in enumerate(battery):
-            lhs = lp_norm(heat(f, t), q, s - t, seed=1000 + idx)
-            rhs = lp_norm(f, p, s, seed=2000 + idx)
+        for f in battery:
+            lhs = lp_norm(heat(f, t), q, s - t)
+            rhs = lp_norm(f, p, s)
             allowed = rhs.value * (1 + 1e-6) + lhs.abs_error_bound + rhs.abs_error_bound
             if not lhs.value <= allowed:
                 ok = False
@@ -186,9 +186,9 @@ CLI_RUNS = [
     ("apply-heat", "--f", "x1^6", "--t=-1/2"),
     ("nonclosability-demo", "--s", "2", "--n", "5"),
     ("hypercontractivity-scan", "--p", "2", "--q", "3", "--s", "1",
-     "--lambda", "1/2", "--degree-cap", "3", "--seed", "0"),
+     "--lambda", "1/2", "--degree-cap", "3"),
     ("sharpness-probe", "--p", "2", "--q", "4", "--s", "1", "--lambda", "7/10",
-     "--degree-cap", "4", "--seed", "0"),
+     "--degree-cap", "4"),
     ("convolution-check", "--f", "x1^2 + x2", "--t", "1", "--x", "x1=1/2"),
 ]
 

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-import gausscalc.gaussian
 import gausscalc.matrixrep
 import gausscalc.semigroups
-from gausscalc.cli import main
+from gausscalc.cli import _DEMO_T, main
+from gausscalc.gaussian import LP_QUADRATURE_NODES, MC_KEY
 from gausscalc.poly import MultiIndex, Polynomial, parse, serialize
 from gausscalc.semigroups import dilate, heat, hermite
 
@@ -219,6 +219,7 @@ class TestNonclosabilityDemo:
         assert record["laplacian"] == "2"
         assert record["heat_minus_identity"] == "1/2"
         assert report["verdict"] == "pass"
+        assert report["params"]["t"] == str(_DEMO_T) == "1/2"
 
 
 class TestHypercontractivityScan:
@@ -277,78 +278,17 @@ class TestBatteryArguments:
         assert report is None
         assert "at least 0" in err
 
-    @pytest.mark.parametrize("budget", ["0", "-3"])
-    def test_budget_below_one_rejected(self, capsys, command, budget):
-        code, report, err = run_cli(capsys, command, *self.BASE, f"--budget={budget}")
-        assert code == 2
-        assert report is None
-        assert "at least 1" in err
-
-    @pytest.mark.parametrize("budget", ["2049", "1000000"])
-    def test_budget_above_the_rule_limit_rejected(self, capsys, command, budget):
-        # Non-even p and q take the budget as the Gauss-Hermite node count.
-        code = main([command, "--p", "3", "--q", "3", "--s", "1", "--lambda", "1/2",
-                     "--budget", budget])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert f"{budget}-node rule" in captured.err and "2048 nodes" in captured.err
-
-    @pytest.mark.parametrize("seed", ["-1", "-200"])
-    def test_negative_seed_rejected(self, capsys, command, seed):
-        # Seeds are Philox keys.  -1 used to exit 0 (its only key below 0
-        # fell on the constant record, which draws nothing), and -200 exited
-        # 2 partway through the scan with numpy's message, which never named
-        # the seed.
-        code = main([command, "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2",
-                     f"--seed={seed}"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "--seed" in captured.err and "at least 0" in captured.err
-
-    def test_largest_seed_runs(self, capsys, command):
-        # Every cross-check of the scan draws from Philox(key=--seed), so the
-        # whole key range [0, 2^128) is open whatever the battery size.
-        argv = [command, "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2",
-                "--degree-cap", "0", "--epsilon-grid", "1/2"]
-        largest = 2**128 - 1
-        code, report, _ = run_cli(capsys, *argv, "--seed", str(largest))
+    @pytest.mark.parametrize("q", ["2", "3"])
+    def test_report_names_the_oracle_constants(self, capsys, command, q):
+        # Neither the node count nor the Monte Carlo key is an option, on
+        # the exact L^2 route (q = 2) or the quadrature one (q = 3).
+        code, report, _ = run_cli(capsys, command, "--p", "2", "--q", q, "--s", "1",
+                                  "--lambda", "1/2", "--degree-cap", "1")
         assert code == 0
-        assert report["seed"] == largest
-        assert [r["method"] for r in report["results"]] == ["quadrature", "quadrature"]
-        code, report, err = run_cli(capsys, *argv, "--seed", str(largest + 1))
-        assert code == 2
-        assert report is None
-        assert "--seed" in err
-
-    def test_seed_range_holds_on_the_exact_l2_route(self, capsys, command):
-        # p = q = 2 never calls lp_norm; --seed is checked when it is parsed.
-        argv = [command, "--p", "2", "--q", "2", "--s", "1", "--lambda", "1/2"]
-        code, report, _ = run_cli(capsys, *argv, "--seed", str(2**128 - 1))
-        assert code == 0
-        assert all(r["method"] == "exact" for r in report["results"])
-        code, report, err = run_cli(capsys, *argv, "--seed", str(2**128))
-        assert code == 2
-        assert report is None
-        assert "--seed" in err and "below 2**128" in err
-
-    def test_every_cross_check_draws_from_the_seed(self, capsys, monkeypatch, command):
-        seeds = []
-        draw = gausscalc.gaussian._monte_carlo_abs_power_mean
-
-        def spy(f, p, s, samples, seed):
-            seeds.append(seed)
-            return draw(f, p, s, samples, seed)
-
-        monkeypatch.setattr(gausscalc.gaussian, "MC_DEFAULT_SAMPLES", 1000)
-        monkeypatch.setattr(gausscalc.gaussian, "_monte_carlo_abs_power_mean", spy)
-        code, report, _ = run_cli(capsys, command, "--p", "3/2", "--q", "3", "--s", "1",
-                                  "--lambda", "1/2", "--degree-cap", "3", "--seed", "4242")
-        assert code == 0
-        # Both norms of every nonconstant battery function run a cross-check.
-        assert len(seeds) == 2 * (len(report["results"]) - 1)
-        assert set(seeds) == {4242}
+        assert report["seed"] == MC_KEY == 0
+        assert report["params"]["budget"] == LP_QUADRATURE_NODES == 401
+        methods = {r["method"] for r in report["results"]}
+        assert methods == ({"exact"} if q == "2" else {"quadrature"})
 
 
 class TestSharpnessProbe:
@@ -371,7 +311,7 @@ class TestSharpnessProbe:
         code, report, _ = run_cli(
             capsys, "sharpness-probe",
             "--p", "3", "--q", "2", "--s", "1", "--lambda", "2/3",
-            "--degree-cap", "3", "--budget", "101",
+            "--degree-cap", "3",
         )
         assert code == 0
         assert report["verdict"] == "pass"
@@ -383,7 +323,7 @@ class TestSharpnessProbe:
         code, report, _ = run_cli(
             capsys, "sharpness-probe",
             "--p", "2", "--q", "5/2", "--s", "1", "--lambda", "9/10",
-            "--degree-cap", "0", "--budget", "51",
+            "--degree-cap", "0",
         )
         assert code == 0
         assert report["verdict"] == "pass"
@@ -495,8 +435,8 @@ class TestStrictIntegers:
         ("bch-check", "--m", "2", "--n", "1_0", "--s", "1", "--lambda", "1/2"): "--n",
         ("nonclosability-demo", "--s", "1", "--n", "\u0663"): "--n",
         SCAN + ("--degree-cap", "1_0"): "--degree-cap",
-        SCAN + ("--budget", "+401"): "--budget",
-        SCAN + ("--seed", "1_0"): "--seed",
+        SCAN + ("--degree-cap", "+4"): "--degree-cap",
+        ("nonclosability-demo", "--s", "1", "--n", "+4"): "--n",
         ("apply-heat", "--f", "\u0663x1", "--t", "1"): "--f",
     }
 
@@ -513,7 +453,7 @@ class TestStrictIntegers:
         (("bch-check", "--m", "0", "--n", "2", "--s", "1", "--lambda", "1/2"), "at least 1, got 0"),
         (("bch-check", "--m", "1", "--n=-1", "--s", "1", "--lambda", "1/2"), "at least 0, got -1"),
         (("nonclosability-demo", "--s", "1", "--n", "0"), "at least 1, got 0"),
-        (SCAN + ("--budget", "0"), "at least 1, got 0"),
+        (SCAN + ("--degree-cap=-2",), "at least 0, got -2"),
     ])
     def test_out_of_range_integers_name_the_bound(self, capsys, argv, message):
         code = main(list(argv))
@@ -641,8 +581,18 @@ class TestExtremeScales:
         (("sharpness-probe", "--p", "3/2", "--q", "3", "--s", f"1/1{ZEROS}", "--lambda", "1/2",
           "--degree-cap", "2"),
          "underflows to 0 in floating point at p = 3, deg f = 1"),
+        # Even p and q: the exact moment is positive but its float root is
+        # 0.0, and the search for a bound bracketing it ran to inf.
+        (("hypercontractivity-scan", "--p", "2", "--q", "4", "--s", f"1/1{ZEROS}{ZEROS}",
+          "--lambda", "1/2", "--degree-cap", "2"),
+         "underflows to 0 in floating point at p = 4, deg f = 1 (largest coefficient 1 "
+         f"digits), s = 1/4{'0' * 37}... (803 characters)"),
+        (("hypercontractivity-scan", "--p", "4", "--q", "4", "--s", f"1/1{ZEROS}",
+          "--lambda", "1/2"),
+         "underflows to 0 in floating point at p = 4, deg f = 2 (largest coefficient 1 "
+         f"digits), s = 1/4{'0' * 37}... (403 characters)"),
     ], ids=["identity-tiny-s", "identity-huge-t", "bch-huge-s", "scan-huge-p",
-            "probe-underflow"])
+            "probe-underflow", "even-scan-underflow", "quartic-scan-underflow"])
     def test_float_routes_name_the_value(self, capsys, argv, message):
         # These printed "math domain error", "integer division result too
         # large for a float" or "Out of range float values are not JSON compliant".
@@ -660,10 +610,8 @@ class TestLongValues:
         ("hypercontractivity-scan", "--p", "2", "--q", "3", "--s", "1" + "0" * 400,
          "--lambda", "1/2"),
         ("convolution-check", "--f", "x1", "--t", "1" + "0" * 400, "--x", "x1=1"),
-        ("hypercontractivity-scan", "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2",
-         "--seed", "9" * 4000),
         ("convolution-check", "--f", "x1", "--t", "1", "--x", "x1=1/" + "0" * 4000),
-    ], ids=["refused-rational", "huge-s", "huge-t", "huge-seed", "refused-point"])
+    ], ids=["refused-rational", "huge-s", "huge-t", "refused-point"])
     def test_errors_quote_a_long_value_briefly(self, capsys, argv):
         # The messages used to echo every digit.  argparse's usage line comes
         # before a usage error's message.
@@ -759,6 +707,20 @@ class TestPlumbing:
 
     def test_bad_rational(self, capsys):
         assert main(["check-identity", "--f", "x1", "--s", "zero", "--lambda", "1/2"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("hypercontractivity-scan", "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2",
+         "--seed", "1"),
+        ("sharpness-probe", "--p", "2", "--q", "3", "--s", "1", "--lambda", "1/2",
+         "--budget", "101"),
+        ("nonclosability-demo", "--s", "1", "--n", "4", "--t", "1"),
+    ], ids=["seed", "budget", "demo-t"])
+    def test_oracle_settings_are_not_options(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -10,7 +10,9 @@ import pytest
 import gausscalc.gaussian
 import helpers
 from gausscalc.gaussian import (
+    LP_QUADRATURE_NODES,
     MC_DEFAULT_SAMPLES,
+    MC_KEY,
     NODE_CAP,
     expectation_quadrature,
     gauss_hermite_rule,
@@ -284,7 +286,7 @@ class TestLpNorm:
         assert abs(est.value - 60**0.25) < 1e-12 * 60**0.25
 
     def test_non_even_p_carries_monte_carlo_cross_check(self):
-        est = lp_norm(parse("1 + 1/2 x1"), 3, Fraction(1, 4), budget=201, seed=9)
+        est = lp_norm(parse("1 + 1/2 x1"), 3, Fraction(1, 4))
         assert est.cross_check is not None
         assert est.cross_check_samples == MC_DEFAULT_SAMPLES
         assert est.abs_error_bound > 0
@@ -295,7 +297,7 @@ class TestLpNorm:
         f = parse("x1^2 - 2 x2")
         s = Fraction(3, 2)
         n2 = lp_norm(f, 2, s)
-        n3 = lp_norm(f, 3, s, budget=101)
+        n3 = lp_norm(f, 3, s)
         n4 = lp_norm(f, 4, s)
         assert n2.value <= n3.value + n3.abs_error_bound + 1e-12
         assert n3.value <= n4.value + n3.abs_error_bound + 1e-12
@@ -333,31 +335,34 @@ class TestLpNorm:
         # Both estimates of ||x1||_3 at s = 10^-400 round to 0: the CLI's ratio
         # of two such norms was inf, which no JSON report can hold.
         with pytest.raises(ValueError, match=r"underflows to 0.*p = 3, deg f = 1"):
-            lp_norm(parse("x1"), 3, Fraction(1, 10**400), budget=11)
+            lp_norm(parse("x1"), 3, Fraction(1, 10**400))
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_budget_below_one_rejected(self, p):
-        f = parse("x1^2 + x2")
-        for budget in (0, -5):
-            with pytest.raises(ValueError, match="budget"):
-                lp_norm(f, p, 1, budget=budget)
+    @pytest.mark.parametrize("f, p, s", [
+        ("x1", 2, Fraction(1, 10**800)), ("x1^2", 4, Fraction(1, 10**400)),
+    ])
+    def test_even_norm_underflowing_to_zero_is_named(self, f, p, s):
+        # The exact moment is positive but its float root is 0.0, which no
+        # error bound brackets: the doubling search for one ran to inf.
+        with pytest.raises(ValueError, match=rf"underflows to 0.*p = {p}, deg f = {p // 2}"):
+            lp_norm(parse(f), p, s)
 
-    def test_budget_none_means_default(self):
-        # No budget means the one default, which --budget also reads.
-        f = parse("x1^2 - 1")
-        assert gausscalc.gaussian.DEFAULT_BUDGET == 401
-        assert lp_norm(f, 3, 1).samples_or_nodes == 401
+    def test_quadrature_takes_the_module_node_count(self):
+        assert LP_QUADRATURE_NODES == 401
+        assert lp_norm(parse("x1^2 - 1"), 3, 1).samples_or_nodes == 401
+        assert lp_norm(parse("x1 x2"), 3, 1).samples_or_nodes == 401**2
 
     def test_budget_over_cap_rejected(self):
+        # 401^5 tensor nodes: five variables exceed NODE_CAP.
         f = parse("x1 x2 x3 x4 x5")
         with pytest.raises(ValueError, match="cap"):
-            lp_norm(f, 3, 1, budget=700)
+            lp_norm(f, 3, 1)
 
-    def test_monte_carlo_streams_are_reproducible(self):
+    def test_monte_carlo_streams_are_reproducible(self, monkeypatch):
         f = parse("x1^2 + x2")
-        a = lp_norm(f, 3, 1, budget=51, seed=123)
-        b = lp_norm(f, 3, 1, budget=51, seed=123)
-        c = lp_norm(f, 3, 1, budget=51, seed=124)
+        a = lp_norm(f, 3, 1)
+        b = lp_norm(f, 3, 1)
+        monkeypatch.setattr(gausscalc.gaussian, "MC_KEY", MC_KEY + 1)
+        c = lp_norm(f, 3, 1)
         assert a == b
         assert a.cross_check != c.cross_check
 
@@ -372,26 +377,11 @@ class TestLpNorm:
             with pytest.raises(ValueError, match=r"not finite.*p = 3, deg f = 82"):
                 lp_norm(f, 3, Fraction(1, 4))
 
-    @pytest.mark.parametrize("p", [2, 3])
-    @pytest.mark.parametrize("seed", [-1, -200, 2**128])
-    def test_seed_outside_the_philox_key_range_rejected(self, monkeypatch, p, seed):
-        def no_quadrature(*args):
-            raise AssertionError("quadrature ran before the seed was checked")
 
-        monkeypatch.setattr(gausscalc.gaussian, "expectation_quadrature", no_quadrature)
-        with pytest.raises(ValueError, match=rf"seed .*got {seed}"):
-            lp_norm(parse("x1^2 + x2"), p, 1, seed=seed)
-
-    def test_largest_philox_key_accepted(self, monkeypatch):
-        monkeypatch.setattr(gausscalc.gaussian, "MC_DEFAULT_SAMPLES", 10)
-        estimate = lp_norm(parse("x1^2 + x2"), 3, 1, budget=11, seed=2**128 - 1)
-        assert estimate.cross_check_samples == 10
-
-
-def _one_shot_abs_power_mean(f, p, s, samples, seed):
+def _one_shot_abs_power_mean(f, p, s, samples):
     """Test oracle: E|f|^p and its standard error from one draw of every sample."""
     variables = f.active_variables
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=MC_KEY))
     draws = rng.normal(0.0, math.sqrt(s), size=(samples, len(variables)))
     values = np.abs(f.evaluate({var: draws[:, k] for k, var in enumerate(variables)})) ** p
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(samples))
@@ -407,8 +397,8 @@ class TestMonteCarloStream:
     @pytest.mark.parametrize("width", [1, 3])
     def test_blocked_draws_are_the_one_shot_draw(self, width):
         samples = 10**6 + 7
-        whole = np.random.Generator(np.random.Philox(key=7)).normal(size=(samples, width))
-        rng = np.random.Generator(np.random.Philox(key=7))
+        whole = np.random.Generator(np.random.Philox(key=MC_KEY)).normal(size=(samples, width))
+        rng = np.random.Generator(np.random.Philox(key=MC_KEY))
         blocks = [rng.normal(size=(min(self.BLOCK, samples - start), width))
                   for start in range(0, samples, self.BLOCK)]
         assert np.array_equal(whole, np.concatenate(blocks))
@@ -418,17 +408,17 @@ class TestMonteCarloStream:
                                          4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1, 12 * BLOCK + 7,
                                          10**6])
     def test_matches_the_one_shot_oracle(self, f, samples):
-        s, p, seed = Fraction(3, 2), 2.5, 11
-        mean, std_err = gausscalc.gaussian._monte_carlo_abs_power_mean(f, p, s, samples, seed)
-        expected_mean, expected_std_err = _one_shot_abs_power_mean(f, p, s, samples, seed)
+        s, p = Fraction(3, 2), 2.5
+        mean, std_err = gausscalc.gaussian._monte_carlo_abs_power_mean(f, p, s, samples)
+        expected_mean, expected_std_err = _one_shot_abs_power_mean(f, p, s, samples)
         assert mean == pytest.approx(expected_mean, rel=1e-12, abs=0)
         assert std_err == pytest.approx(expected_std_err, rel=1e-12, abs=0)
 
     def test_mean_far_above_the_spread_keeps_its_variance(self):
         # sum(v^2) - sum(v)^2/n cancels here: mean ~1e8, standard deviation ~1.
         f = parse("x1 + 100000000")
-        mean, std_err = gausscalc.gaussian._monte_carlo_abs_power_mean(f, 1.0, 1, 10**5, 3)
-        expected_mean, expected_std_err = _one_shot_abs_power_mean(f, 1.0, 1, 10**5, 3)
+        mean, std_err = gausscalc.gaussian._monte_carlo_abs_power_mean(f, 1.0, 1, 10**5)
+        expected_mean, expected_std_err = _one_shot_abs_power_mean(f, 1.0, 1, 10**5)
         assert mean == pytest.approx(expected_mean, rel=1e-12, abs=0)
         assert std_err == pytest.approx(expected_std_err, rel=1e-9, abs=0)
 
@@ -436,7 +426,7 @@ class TestMonteCarloStream:
     def _traced_peak(f, samples):
         tracemalloc.start()
         try:
-            gausscalc.gaussian._monte_carlo_abs_power_mean(f, 3.0, 1, samples, 5)
+            gausscalc.gaussian._monte_carlo_abs_power_mean(f, 3.0, 1, samples)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -452,17 +442,17 @@ class TestMonteCarloStream:
         # f = x1 / c with |x1| < c in every sample before the stream's
         # largest |x1|, at index r in a later, partial block: there |f|^p
         # overflows and everywhere before it |f|^p < 1.
-        seed, draws = 0, 4 * self.BLOCK
-        x = np.abs(np.random.Generator(np.random.Philox(key=seed)).normal(size=draws))
+        draws = 4 * self.BLOCK
+        x = np.abs(np.random.Generator(np.random.Philox(key=MC_KEY)).normal(size=draws))
         r = int(np.argmax(x))
-        assert r >= self.BLOCK and (r + 1) % self.BLOCK, "pick another seed"
+        assert r >= self.BLOCK and (r + 1) % self.BLOCK, "MC_KEY's stream has no such block"
         below, top = float(x[:r].max()), float(x[r])
         c = Fraction(math.sqrt(below * top))
         p = 2000.0 / math.log(top / float(c))
         f = Polynomial.variable(1) * (1 / c)
         estimate = gausscalc.gaussian._monte_carlo_abs_power_mean
-        assert all(map(math.isfinite, estimate(f, p, 1, r, seed)))
-        assert not all(map(math.isfinite, estimate(f, p, 1, r + 1, seed)))
+        assert all(map(math.isfinite, estimate(f, p, 1, r)))
+        assert not all(map(math.isfinite, estimate(f, p, 1, r + 1)))
 
 
 def _brackets(estimate, p, mean):
@@ -524,7 +514,7 @@ class TestEvenLpNorm:
         monkeypatch.setattr(gausscalc.gaussian, "expectation_quadrature", refuse)
         monkeypatch.setattr(gausscalc.gaussian, "_monte_carlo_abs_power_mean", refuse)
         for p in (2, 4, 6, 8.0):
-            estimate = lp_norm(parse("x1^2 x2 - 1/3 x3 + 2"), p, Fraction(3, 2), budget=5)
+            estimate = lp_norm(parse("x1^2 x2 - 1/3 x3 + 2"), p, Fraction(3, 2))
             assert estimate.method == "exact"
             assert estimate.cross_check is None and estimate.cross_check_samples == 0
 

@@ -1,8 +1,13 @@
+import argparse
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import gausscalc
+from gausscalc.cli import build_parser
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_public_name_resolves():
@@ -72,3 +77,18 @@ def test_every_private_module_name_is_used_in_the_package():
                        if name.startswith("_") and not name.startswith("__")
                        and everywhere[name] <= own[name]]
     assert unused == []
+
+
+def test_readme_names_exactly_the_cli_options():
+    # A deleted option must leave the README, and a new one must enter it.
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {option for command in sub.choices.values() for action in command._actions
+               for option in action.option_strings if option.startswith("--")} - {"--help"}
+    text = README.read_text(encoding="utf-8")
+    cli_section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+    def options(part):
+        return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", part))
+
+    assert sorted(defined - options(text)) == []
+    assert sorted(options(cli_section) - defined) == []
