@@ -39,6 +39,8 @@ _EXIT_BY_VERDICT = {"pass": 0, "inconclusive": 0, "fail": 1}
 
 #: The heat time at which nonclosability-demo checks P_t f_n - f_n = t.
 _DEMO_T = Fraction(1, 2)
+#: Largest nonclosability-demo --n: the self inner product of f_n costs n^2 term pairs.
+_DEMO_N_CAP = 1000
 
 
 def _rat(x) -> str:
@@ -439,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("nonclosability-demo", _cmd_nonclosability_demo,
             "vanishing sequence whose Laplacian stays constant")
     p.add_argument("--s", type=_positive_rational_arg, required=True)
-    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--n", type=_arg(_int_at_least(1), lambda v: v <= _DEMO_N_CAP,
+                                    f"must be at most {_DEMO_N_CAP}"), required=True)
 
     for name, help_text in (
         ("hypercontractivity-scan", "norm contraction over the documented battery"),

@@ -239,7 +239,7 @@ def expectation_quadrature(integrand, variables, s, nodes_per_var: int) -> float
     if total > NODE_CAP:
         raise ValueError(
             f"{abbreviate(nodes_per_var)}^{v} = {abbreviate(total)} tensor nodes exceeds "
-            f"the cap of {NODE_CAP}; reduce the node budget or the variable count"
+            f"the cap of {NODE_CAP}"
         )
     x, w = gauss_hermite_rule(nodes_per_var)
     x = x * math.sqrt(s)

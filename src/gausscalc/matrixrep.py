@@ -3,12 +3,11 @@
 Polynomials of degree <= n in variables x1..xm form a space of dimension
 C(m+n, n) that the Laplacian, the Euler operator, and their combinations
 map into itself.  On the degree-ascending monomial basis the Euler
-operator is diagonal and the Laplacian is strictly upper triangular
-(it only lowers degree), so its exponential is a terminating Taylor sum
-that can be carried out in exact rationals.  The float matrix
-exponential is the methodologically independent route used to test the
-semigroup factorization, since e^{tau(A+B)} with noncommuting A, B has
-no terminating expansion.
+operator D is diagonal and the Laplacian is strictly upper triangular
+(it only lowers degree), so its exponential is a terminating Taylor sum.
+So is e^{-tau N_s} = lam^{N_s} with N_s = D - s*Laplacian, as a binomial
+series: N_s has the integer eigenvalues 0..k on the span of a degree-k
+monomial.  Both run in exact rationals.
 
 Convention: column j of a matrix holds the coefficients of the operator
 applied to basis monomial j, so composition is matrix product and
@@ -16,14 +15,9 @@ apply_poly agrees with the symbolic operator.
 
 Storage is by sparse columns: column j keeps only the nonzero entries of
 that image, so the Laplacian costs at most m entries per column rather
-than d.  The exact exponential runs the Taylor sum one column at a time
-and costs the nonzeros times the Taylor terms; only the float route
-works on dense d x d arrays, with a numpy scaling-and-squaring Pade
-exponential that short-cuts diagonal and strictly triangular input.
-
-bch_check builds each float exponential once: the shared left-hand side
-e^{-tau N_s} (Pade), the shared decay factor e^{-tau D} (diagonal), and
-one Laplacian factor per identity (two Taylor sums), four in all.
+than d.  The exact exponentials run one column at a time and cost the
+nonzeros times the terms; only the float route works on dense d x d
+arrays.
 """
 
 from __future__ import annotations
@@ -204,25 +198,6 @@ def _exp_column(columns, j: int) -> dict:
     return total
 
 
-#: Pade [13/13] coefficients b_0..b_13 of e^x (Higham 2005), divided by b_0
-#: so that the zero matrix maps to exactly the identity.
-_PADE13 = tuple(
-    b / 64764752532480000
-    for b in (
-        64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
-        129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
-        40840800, 960960, 16380, 182, 1,
-    )
-)
-#: Largest 2^-s scaled eta for which the degree-13 Pade approximant meets
-#: double precision (Al-Mohy and Higham 2009).
-_THETA13 = 4.25
-
-
-def _onenorm(a: np.ndarray) -> float:
-    return float(np.abs(a).sum(axis=0).max())
-
-
 def _expm_nilpotent_float(a: np.ndarray) -> np.ndarray:
     """Terminating Taylor sum of a strictly triangular float matrix."""
     term = np.eye(a.shape[0])
@@ -235,49 +210,17 @@ def _expm_nilpotent_float(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _expm_pade13(a: np.ndarray) -> np.ndarray:
-    """Scaling and squaring with the degree-13 Pade approximant.
-
-    The scaling s is the least one with 2^-s max(||A^6||^(1/6), ||A^8||^(1/8))
-    <= theta_13, the 1-norms taken exactly; for a nonnormal matrix such as
-    a triangular one with a large off-diagonal part these powers shrink far
-    below ||A||, so fewer squarings are needed than ||A|| alone would ask.
-    """
-    c = _PADE13
-    b2 = a @ a
-    b4 = b2 @ b2
-    b6 = b4 @ b2
-    eta = max(_onenorm(b6) ** (1 / 6), _onenorm(b4 @ b4) ** (1 / 8))
-    s = max(0, math.ceil(math.log2(eta / _THETA13))) if eta > 0 else 0
-    b = a * 2.0**-s
-    b2 *= 4.0**-s
-    b4 *= 16.0**-s
-    b6 *= 64.0**-s
-    diagonal = np.diag_indices_from(a)
-    inner = b6 @ (c[13] * b6 + c[11] * b4 + c[9] * b2) + c[7] * b6 + c[5] * b4 + c[3] * b2
-    inner[diagonal] += c[1]
-    u = b @ inner
-    v = b6 @ (c[12] * b6 + c[10] * b4 + c[8] * b2) + c[6] * b6 + c[4] * b4 + c[2] * b2
-    v[diagonal] += c[0]
-    x = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        x = x @ x
-    return x
-
-
 def expm(matrix, mode: str = "float"):
-    """Matrix exponential.
+    """Matrix exponential of a diagonal or a strictly triangular matrix.
 
     mode='exact-nilpotent' takes an OperatorMatrix that is strictly
     triangular (hence nilpotent, e.g. any scaled Laplacian matrix) and
     returns the exact terminating Taylor sum, column by column, at the
     cost of the nonzeros times the Taylor terms.  mode='float' takes an
     OperatorMatrix or square float array and returns an ndarray: the
-    entrywise exponential of the diagonal for a diagonal input, the
-    terminating Taylor sum for a strictly triangular one, and otherwise
-    scaling and squaring with the degree-13 Pade approximant (Higham 2005),
-    its scaling chosen from ||A^6||^(1/6) and ||A^8||^(1/8) (Al-Mohy and
-    Higham 2009).  The zero matrix maps to exactly the identity.
+    entrywise exponential of the diagonal for a diagonal input, and the
+    terminating Taylor sum for a strictly triangular one; any other input
+    is refused.  The zero matrix maps to exactly the identity.
     """
     if mode == "exact-nilpotent":
         if not isinstance(matrix, OperatorMatrix):
@@ -298,8 +241,49 @@ def expm(matrix, mode: str = "float"):
             return np.diag(np.exp(np.diagonal(a)))
         if not np.tril(a).any() or not np.triu(a).any():
             return _expm_nilpotent_float(a)
-        return _expm_pade13(a)
+        raise ValueError("float expm needs a diagonal or a strictly triangular matrix")
     raise ValueError(f"unknown expm mode {mode!r}")
+
+
+def _number_power(lap: OperatorMatrix, s: Fraction, lam: Fraction) -> OperatorMatrix:
+    """lam^{N_s}, N_s = D - s*Laplacian, by its terminating binomial series.
+
+    lam^{N_s} e_j = sum_{r<=k} (lam-1)^r binom(N_s, r) e_j for e_j of degree
+    k (Newton's form of lam^x at the nodes 0..k).  With s = a/b, lam = p/q,
+    u_0 = e_j and the integer vectors u_r = (b(D - r + 1) - a*Laplacian) u_{r-1},
+    term r is (p-q)^r u_r over (bq)^r r!, summed over (bq)^k k!.  u_{k+1} = 0
+    proves the formula applies, so a nonzero one raises ValueError.
+    """
+    a, b = s.numerator, s.denominator
+    step = lam.numerator - lam.denominator
+    bq = b * lam.denominator
+    monomials = lap.basis.monomials
+    b_deg = [b * alpha.degree for alpha in monomials]
+    a_lap = [{i: a * int(x) for i, x in col.items()} for col in lap.columns]
+    columns = []
+    for j, top in enumerate(alpha.degree for alpha in monomials):
+        den = weight = bq**top * math.factorial(top)
+        acc = {j: weight}
+        u = {j: 1}
+        for r in range(1, top + 2):
+            shift = b * (r - 1)
+            nxt = {i: (b_deg[i] - shift) * x for i, x in u.items()}
+            for i, x in u.items():
+                for k, y in a_lap[i].items():
+                    nxt[k] = nxt.get(k, 0) - y * x
+            u = {i: x for i, x in nxt.items() if x}
+            if r > top:
+                break
+            weight = weight * step // (bq * r)
+            for i, x in u.items():
+                acc[i] = acc.get(i, 0) + x * weight
+        if u:
+            raise ValueError(
+                f"the binomial series of lambda^N_s does not end by term {top + 1} "
+                f"at {monomials[j]}"
+            )
+        columns.append({i: Fraction(x, den) for i, x in acc.items() if x})
+    return OperatorMatrix(lap.basis, tuple(columns))
 
 
 @dataclass(frozen=True)
@@ -309,16 +293,15 @@ class BchReport:
     With A = s*Laplacian and B = -Euler the bracket is [A, B] = -2A, so
     e^{tau(A+B)} factors as e^{tau B} e^{c A} with c = (e^{-2 tau}-1)/(-2);
     equivalently e^{-tau N_s} = e^{-tau D} e^{(t/2) Laplacian} with
-    t = s(1 - lam^2).  Since A + B = -N_s and e^{tau B} = e^{-tau D}, both
-    float identities share one left-hand side and one decay factor, so the
-    float route takes four numpy expm calls: Pade for the triangular
-    left-hand side, the diagonal short cut for e^{-tau D}, and the
-    nilpotent Taylor sum for e^{cA} in (i) and e^{(t/2) Laplacian} in (ii).
+    t = s(1 - lam^2).  Since A + B = -N_s and e^{-tau} = lam, both float
+    identities share one left-hand side, the exact lam^{N_s} in floats,
+    and one decay factor, e^{-tau D} by the diagonal short cut; e^{cA} in
+    (i) and e^{(t/2) Laplacian} in (ii) are nilpotent Taylor sums.
     bch_rel_err and bch2_rel_err are the gaps of (i) and (ii); ok needs
     them and scalar_abs_err within BCH_TOL, and the exact route.  The exact
     route scales row i of the terminating Laplacian exponential by
-    lam^{|alpha_i|} and compares column by column with the
-    Hermite-coefficient decay operator.
+    lam^{|alpha_i|} and compares it column by column with lam^{N_s} and
+    with the Hermite-coefficient decay operator.
     """
 
     m: int
@@ -347,15 +330,14 @@ def bch_check(s, lam, basis: GradedBasis) -> BchReport:
     """Verify the noncommutative exponential factorization on a graded basis.
 
     With A = s*Laplacian and B = -Euler, the left-hand side
-    e^{tau(A+B)} = e^{-tau N_s} and the factor e^{tau B} = e^{-tau D} are
-    each exponentiated once.  Compares, entrywise in floats to BCH_TOL, that
-    left-hand side against (i) e^{-tau D} e^{c A} with
-    c = (e^{-2 tau}-1)/(-2) from the bracket [A, B] = -2A, and
-    (ii) e^{-tau D} e^{(t/2) Laplacian} with the exact t; plus the scalar
-    identity -(e^{-2 tau}-1)/2 = t/(2s).  Then checks exactly, in
-    rationals, that the diagonal-times-nilpotent factorization applied to
-    every basis monomial reproduces hermite_semigroup of that monomial,
-    and names the first monomial where it does not.
+    e^{tau(A+B)} = e^{-tau N_s} = lam^{N_s} is built exactly by
+    _number_power.  Compares it, entrywise in floats to BCH_TOL, against
+    (i) e^{-tau D} e^{c A} with c = (e^{-2 tau}-1)/(-2) from the bracket
+    [A, B] = -2A, and (ii) e^{-tau D} e^{(t/2) Laplacian} with the exact t;
+    plus the scalar identity -(e^{-2 tau}-1)/2 = t/(2s).  Then checks
+    exactly that lam^D e^{(t/2) Laplacian} applied to every basis monomial
+    equals both lam^{N_s} and hermite_semigroup of that monomial, and
+    names the first monomial where it does not.
     """
     lam = as_fraction(lam)
     if not 0 < lam <= 1:
@@ -368,22 +350,27 @@ def bch_check(s, lam, basis: GradedBasis) -> BchReport:
         raise ValueError(f"the float exponentials cannot represent s = {abbreviate(s)}") from None
 
     lap = laplacian_matrix(basis)
+    power = _number_power(lap, s, lam)
+    degrees = [alpha.degree for alpha in basis.monomials]
     lap_f = lap.float_array()
-    eul_f = euler_matrix(basis).float_array()
+    eul_f = np.diag(np.array(degrees, dtype=float))
 
-    # Both float identities share e^{tau(A+B)} = e^{-tau N_s} and e^{-tau D},
+    # Both float identities share e^{tau(A+B)} = lam^{N_s} and e^{-tau D},
     # with A = s*Laplacian, B = -Euler: A + B = -N_s and e^{tau B} = e^{-tau D}.
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = expm(tau * (s_f * lap_f - eul_f))
-        decay_f = expm(-tau * eul_f)
+    try:
+        lhs = power.float_array()
+        with np.errstate(over="ignore", invalid="ignore"):
+            decay_f = expm(-tau * eul_f)
+            # (i) [A, B] = -2A gives the coefficient c of A from the bracket alone.
+            coeff = (math.exp(-2.0 * tau) - 1.0) / (-2.0)
+            bch_rel_err = _rel_gap(lhs, decay_f @ expm((coeff * s_f) * lap_f))
 
-        # (i) [A, B] = -2A gives the coefficient c of A from the bracket alone.
-        coeff = (math.exp(-2.0 * tau) - 1.0) / (-2.0)
-        bch_rel_err = _rel_gap(lhs, decay_f @ expm((coeff * s_f) * lap_f))
-
-        # (ii) the same factor of A from the exact time t = s(1 - lam^2).
-        bch2_rel_err = _rel_gap(lhs, decay_f @ expm((float(t) / 2.0) * lap_f))
-    if not (math.isfinite(bch_rel_err) and math.isfinite(bch2_rel_err)):
+            # (ii) the same factor of A from the exact time t = s(1 - lam^2).
+            bch2_rel_err = _rel_gap(lhs, decay_f @ expm((float(t) / 2.0) * lap_f))
+        finite = math.isfinite(bch_rel_err) and math.isfinite(bch2_rel_err)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(
             f"float exponentials not finite on a basis of dimension {basis.size} "
             f"at s = {abbreviate(s)}, lambda = {abbreviate(lam)}"
@@ -393,18 +380,17 @@ def bch_check(s, lam, basis: GradedBasis) -> BchReport:
     scalar_rhs = float(t / (2 * s))
     scalar_abs_err = abs(scalar_lhs - scalar_rhs)
 
-    # (iii) exact: row i of the terminating Taylor sum of (t/2) Laplacian
-    # times lam^{|alpha_i|}, column-checked against the Hermite-coefficient decay.
+    # Exact: row i of the terminating Taylor sum of (t/2) Laplacian times
+    # lam^{|alpha_i|}, column-checked against lam^{N_s} and the
+    # Hermite-coefficient decay.
     heat_exact = expm(lap.scaled(t / 2), mode="exact-nilpotent")
-    monomials = basis.monomials
     decay = [lam**d for d in range(basis.n + 1)]
-    exact_ok = True
     witness = None
-    for j, alpha in enumerate(monomials):
-        factored = {i: decay[monomials[i].degree] * x for i, x in heat_exact.columns[j].items()}
-        expected = _sparse_vector(basis, hermite_semigroup(Polynomial.monomial(alpha), s, lam))
-        if factored != expected:
-            exact_ok = False
+    for j, alpha in enumerate(basis.monomials):
+        factored = {i: decay[degrees[i]] * x for i, x in heat_exact.columns[j].items()}
+        if factored != power.columns[j] or factored != _sparse_vector(
+            basis, hermite_semigroup(Polynomial.monomial(alpha), s, lam)
+        ):
             witness = str(alpha)
             break
 
@@ -412,7 +398,7 @@ def bch_check(s, lam, basis: GradedBasis) -> BchReport:
         bch_rel_err <= BCH_TOL
         and bch2_rel_err <= BCH_TOL
         and scalar_abs_err <= BCH_TOL
-        and exact_ok
+        and witness is None
     )
     return BchReport(
         m=basis.m,
@@ -427,7 +413,7 @@ def bch_check(s, lam, basis: GradedBasis) -> BchReport:
         scalar_lhs=scalar_lhs,
         scalar_rhs=scalar_rhs,
         scalar_abs_err=scalar_abs_err,
-        exact_route_ok=exact_ok,
+        exact_route_ok=witness is None,
         exact_witness=witness,
         ok=ok,
     )

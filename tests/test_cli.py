@@ -391,6 +391,15 @@ class TestConvolutionCheck:
         assert report["params"]["tol"] < report["results"][0]["rel_discrepancy"]
         assert err.startswith("fail: relative discrepancy")
 
+    def test_node_cap_names_the_count_and_the_cap(self, capsys):
+        # No option sets the node count, so the refusal gives no advice about one.
+        code = main(["convolution-check", "--f", "x1 x2 x3 x4 x5 x6 x7 x8 x9", "--t", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "9^9 = 387420489 tensor nodes exceeds the cap of 100000000" in captured.err
+        assert "budget" not in captured.err
+
     def test_bad_point_syntax(self, capsys):
         code, _, _ = run_cli(
             capsys, "convolution-check", "--f", "x1", "--t", "1", "--x", "y1=2"
@@ -454,6 +463,7 @@ class TestStrictIntegers:
         (("bch-check", "--m", "1", "--n=-1", "--s", "1", "--lambda", "1/2"), "at least 0, got -1"),
         (("nonclosability-demo", "--s", "1", "--n", "0"), "at least 1, got 0"),
         (SCAN + ("--degree-cap=-2",), "at least 0, got -2"),
+        (("nonclosability-demo", "--s", "1", "--n", "1001"), "at most 1000, got 1001"),
     ])
     def test_out_of_range_integers_name_the_bound(self, capsys, argv, message):
         code = main(list(argv))

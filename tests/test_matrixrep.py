@@ -15,6 +15,7 @@ from gausscalc.matrixrep import (
     OperatorMatrix,
     _add_into,
     _combine,
+    _number_power,
     _sparse_vector,
     bch_check,
     euler_matrix,
@@ -265,22 +266,22 @@ class TestFloatExpm:
     def _branches(monkeypatch):
         """Record which float expm branch each call takes; none recorded is diagonal."""
         taken = []
-        for name in ("_expm_nilpotent_float", "_expm_pade13"):
-            real = getattr(gausscalc.matrixrep, name)
+        real = gausscalc.matrixrep._expm_nilpotent_float
 
-            def spy(a, real=real, name=name):
-                taken.append(name)
-                return real(a)
+        def spy(a):
+            taken.append("_expm_nilpotent_float")
+            return real(a)
 
-            monkeypatch.setattr(gausscalc.matrixrep, name, spy)
+        monkeypatch.setattr(gausscalc.matrixrep, "_expm_nilpotent_float", spy)
         return taken
 
     @pytest.mark.parametrize("m,n", [(1, 30), (2, 12), (3, 6)])
     @pytest.mark.parametrize("s", [F(1), F(4)])
     @pytest.mark.parametrize("lam", [F(1, 2), F(1, 10), F(1, 1000)])
     def test_matches_the_exact_factorization(self, monkeypatch, m, n, s, lam):
-        # e^{-tau N_s} = diag(lam^|alpha|) e^{(t/2) Laplacian}, t = s(1 - lam^2):
-        # each of the three float exponentials against its exact counterpart.
+        # lam^{N_s} = e^{-tau N_s} = diag(lam^|alpha|) e^{(t/2) Laplacian},
+        # t = s(1 - lam^2): the binomial series equals the exact factorization,
+        # and each float exponential matches its exact counterpart.
         basis = graded_basis(m, n)
         lap, eul = laplacian_matrix(basis), euler_matrix(basis)
         t, tau = s * (1 - lam * lam), -math.log(float(lam))
@@ -288,13 +289,12 @@ class TestFloatExpm:
         decay = np.diag([float(lam**alpha.degree) for alpha in basis.monomials])
         taken = self._branches(monkeypatch)
 
-        general = expm(tau * (float(s) * lap.float_array() - eul.float_array()))
-        assert _rel_err(general, _decayed(heat_exact, lam).float_array()) <= 1e-13
+        assert _number_power(lap, s, lam) == _decayed(heat_exact, lam)
         nilpotent = expm((float(t) / 2) * lap.float_array())
         assert _rel_err(nilpotent, heat_exact.float_array()) <= 1e-13
         diagonal = expm(-tau * eul.float_array())
         assert _rel_err(diagonal, decay) <= 1e-13
-        assert taken == ["_expm_pade13", "_expm_nilpotent_float"]
+        assert taken == ["_expm_nilpotent_float"]
 
     def test_strictly_lower_input_takes_the_taylor_sum(self, monkeypatch):
         basis = graded_basis(2, 6)
@@ -304,25 +304,14 @@ class TestFloatExpm:
         assert _rel_err(lower, heat_exact.float_array().T) <= 1e-13
         assert taken == ["_expm_nilpotent_float"]
 
-    def test_full_matrices_need_squaring(self, monkeypatch):
-        taken = self._branches(monkeypatch)
-        theta = 10.0
-        rotation = expm(np.array([[0.0, -theta], [theta, 0.0]]))
-        cos, sin = math.cos(theta), math.sin(theta)
-        expected = np.array([[cos, -sin], [sin, cos]])
-        assert np.max(np.abs(rotation - expected)) <= 1e-13
-        rng = np.random.default_rng(5)
-        sym = rng.normal(size=(6, 6)) * 2.0
-        sym = sym + sym.T
-        values, vectors = np.linalg.eigh(sym)
-        assert _rel_err(expm(sym), (vectors * np.exp(values)) @ vectors.T) <= 1e-13
-        assert taken == ["_expm_pade13", "_expm_pade13"]
-
-    def test_pade_is_exact_at_zero_and_on_a_full_nilpotent(self):
-        pade = gausscalc.matrixrep._expm_pade13
-        assert np.array_equal(pade(np.zeros((4, 4))), np.eye(4))
-        nil = np.array([[1.0, 1.0], [-1.0, -1.0]])  # nil @ nil = 0, neither triangle empty
-        assert np.max(np.abs(expm(nil) - (np.eye(2) + nil))) <= 1e-15
+    def test_rejects_full_matrices(self):
+        # Neither diagonal nor strictly triangular: a rotation generator, a
+        # full nilpotent and the triangular tau(s Laplacian - Euler).
+        basis = graded_basis(2, 4)
+        n_s = 0.5 * laplacian_matrix(basis).float_array() - euler_matrix(basis).float_array()
+        for a in (np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([[1.0, 1.0], [-1.0, -1.0]]), n_s):
+            with pytest.raises(ValueError, match="diagonal or a strictly triangular"):
+                expm(a)
 
     def test_rejects_non_square_input(self):
         with pytest.raises(ValueError, match="square"):
@@ -395,19 +384,40 @@ class TestDenseOracle:
 
 
 def test_exact_expm_never_calls_the_semigroups(monkeypatch):
-    """The matrix route stays independent of heat and hermite_semigroup."""
+    """The matrix routes stay independent of heat, dilate and hermite_semigroup."""
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("exact-nilpotent expm called a semigroups flow")
+        raise AssertionError("an exact matrix route called a semigroups flow")
 
     for module in (gausscalc.semigroups, gausscalc.matrixrep):
-        for name in ("heat", "hermite_semigroup"):
+        for name in ("heat", "dilate", "hermite_semigroup"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     basis = graded_basis(2, 6)
     lap = laplacian_matrix(basis).scaled(F(3, 4))
     for a in (lap, _transpose(lap)):
         flow = expm(a, mode="exact-nilpotent")
         assert any(flow.columns)
+    power = _number_power(laplacian_matrix(basis), F(3, 2), F(2, 3))
+    assert all(power.columns)
+
+
+class TestNumberPower:
+    """lam^{N_s} by the terminating binomial series."""
+
+    def test_by_hand_on_one_variable(self):
+        # N_s x1^2 = 2 x1^2 - 2s, so lam^{N_s} x1^2 = lam^2 x1^2 + s(1 - lam^2).
+        s, lam = F(3, 2), F(2, 5)
+        power = _number_power(laplacian_matrix(graded_basis(1, 3)), s, lam)
+        assert power.columns == ({0: F(1)}, {1: lam}, {2: lam**2, 0: s * (1 - lam**2)},
+                                 {3: lam**3, 1: 3 * s * (lam - lam**3)})
+
+    def test_a_series_that_does_not_end_is_refused(self):
+        # A diagonal entry -1 in the "Laplacian" moves the eigenvalue of N_1
+        # on x1^2 from 2 to 3, outside 0..2, so binom(N_1, 3) x1^2 is not zero.
+        basis = graded_basis(1, 2)
+        bad = OperatorMatrix(basis, ({}, {}, {0: F(2), 2: F(-1)}))
+        with pytest.raises(ValueError, match=r"does not end by term 3 at x1\^2"):
+            _number_power(bad, F(1), F(1, 2))
 
 
 class TestBchCheck:
@@ -444,10 +454,12 @@ class TestBchCheck:
                 assert report.t == s * (1 - lam * lam)
 
     @pytest.mark.parametrize("m,n,s,lam", [(2, 12, F(4), F(1, 10)), (1, 30, F(2), F(2, 3)),
-                                           (1, 30, F(4), F(1, 1000)), (3, 5, F(3, 2), F(3, 5))])
+                                           (1, 30, F(4), F(1, 1000)), (3, 5, F(3, 2), F(3, 5)),
+                                           (1, 2, F(10**200), F(1, 2))])
     def test_float_gaps_stay_at_double_precision(self, m, n, s, lam):
         # Float round-off in the exponentials once reached 5e-7 on (1, 30),
-        # failing the factorization at the default tolerance.
+        # failing the factorization at the default tolerance; a Pade left-hand
+        # side read a gap of 0.46 at s = 10^200.
         report = bch_check(s, lam, graded_basis(m, n))
         assert report.ok
         assert max(report.bch_rel_err, report.bch2_rel_err) <= 1e-13
@@ -463,8 +475,9 @@ class TestBchCheck:
             assert factored.column(j) == tuple(image.coefficient(b) for b in basis.monomials)
 
     def test_one_exponential_per_operator(self, monkeypatch):
-        # One Pade (the shared left-hand side), one diagonal (the shared decay
-        # factor), two Taylor sums (one Laplacian factor per identity), one exact.
+        # One diagonal (the shared decay factor), two Taylor sums (one
+        # Laplacian factor per identity), one exact; the left-hand side is
+        # the binomial series, outside expm.
         taken = TestFloatExpm._branches(monkeypatch)
         real = gausscalc.matrixrep.expm
         modes = []
@@ -476,8 +489,47 @@ class TestBchCheck:
         monkeypatch.setattr(gausscalc.matrixrep, "expm", spy)
         report = bch_check(F(3, 2), F(3, 5), graded_basis(2, 5))
         assert report.ok
-        assert sorted(modes) == ["exact-nilpotent"] + ["float"] * 4
-        assert sorted(taken) == ["_expm_nilpotent_float"] * 2 + ["_expm_pade13"]
+        assert sorted(modes) == ["exact-nilpotent"] + ["float"] * 3
+        assert taken == ["_expm_nilpotent_float"] * 2
+
+    def test_a_series_at_a_perturbed_s_is_caught(self, monkeypatch):
+        # Only the lam^{N_s} side moves, so only its comparison can fail: the
+        # first witness is the first monomial the Laplacian does not kill.
+        real = gausscalc.matrixrep._number_power
+
+        def perturbed(lap, s, lam):
+            return real(lap, s + F(1, 1000), lam)
+
+        monkeypatch.setattr(gausscalc.matrixrep, "_number_power", perturbed)
+        basis = graded_basis(2, 4)
+        report = bch_check(F(3, 2), F(2, 3), basis)
+        assert report.exact_route_ok is False
+        assert report.ok is False
+        assert report.exact_witness == str(MultiIndex({2: 2})) == str(basis.monomials[3])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_factored_side_with_one_wrong_power_is_caught(self, monkeypatch, k):
+        # Rows of degree k of the exact e^{(t/2) Laplacian} times lam make the
+        # factored side lam^D e^{(t/2) Laplacian} carry lam^{k+1} on degree k.
+        real = gausscalc.matrixrep.expm
+        basis = graded_basis(2, 4)
+        lam = F(2, 3)
+
+        def perturbed(matrix, mode="float"):
+            out = real(matrix, mode)
+            if mode != "exact-nilpotent":
+                return out
+            degree = [alpha.degree for alpha in basis.monomials]
+            return OperatorMatrix(basis, tuple(
+                {i: lam * x if degree[i] == k else x for i, x in col.items()} for col in out.columns
+            ))
+
+        monkeypatch.setattr(gausscalc.matrixrep, "expm", perturbed)
+        report = bch_check(F(3, 2), lam, basis)
+        assert report.exact_route_ok is False
+        assert report.ok is False
+        first = next(alpha for alpha in basis.monomials if alpha.degree == k)
+        assert report.exact_witness == str(first)
 
     def test_failing_exact_route_names_the_perturbed_monomial(self, monkeypatch):
         real = gausscalc.matrixrep.hermite_semigroup
@@ -496,6 +548,11 @@ class TestBchCheck:
         assert report.ok is False
         assert report.exact_witness == str(target)
         assert max(report.bch_rel_err, report.bch2_rel_err) <= BCH_TOL
+
+    def test_overflowing_float_left_side_is_named(self):
+        # s^2 ~ 1e600 sits in lam^{N_s} on degree 4: float() of it overflows.
+        with pytest.raises(ValueError, match="float exponentials not finite on a basis of dimension 5"):
+            bch_check(10**300, F(1, 2), graded_basis(1, 4))
 
     def test_validation(self):
         basis = graded_basis(1, 2)
