@@ -4,26 +4,29 @@ on polynomials in infinitely many Gaussian coordinates.
 The package keeps two strictly separated layers.  The symbolic layer
 (`poly`, `semigroups`, `matrixrep`) works in arbitrary-precision
 rationals, so operator identities are checked as exact term-map
-equality, never against a tolerance.  Floats enter it only in the
-reported time constant `VarianceParams.tau`, the float mode of
-`semigroups.verify_ident2` (an irrational scale), the
-`semigroups.heat_convolution_oracle`, and the numpy `expm` route of
-`matrixrep.bch_check`.  The numeric layer (`gaussian`) integrates
-against the product Gaussian measure by tensor Gauss-Hermite quadrature
-and Monte Carlo with a fixed key, and exists to cross-check the
-symbolic layer through an independent, measure-level route.
+equality, never against a tolerance.  Its core, `poly` and `semigroups`,
+imports no numpy and nothing but itself; floats enter it only in the
+reported time constant `VarianceParams.tau` and the float mode of
+`semigroups.verify_ident2` (an irrational scale).  Only `gaussian` and
+`matrixrep` import numpy: `gaussian` integrates against the product
+Gaussian measure by tensor Gauss-Hermite quadrature and Monte Carlo with
+a fixed key, and its `heat_convolution_oracle` checks `heat` through that
+independent, measure-level route; `matrixrep.bch_check` adds a float
+`expm` route.  The import order is poly, semigroups, then gaussian and
+matrixrep, then cli.
 """
 
 from .gaussian import (
     MC_DEFAULT_SAMPLES,
     NODE_CAP,
+    ConvolutionCheck,
     LpEstimate,
     expectation_quadrature,
     gauss_hermite_rule,
     gaussian_moment,
+    heat_convolution_oracle,
     inner_product,
     lp_norm,
-    variance_of,
 )
 from .matrixrep import (
     DIMENSION_CAP,
@@ -46,12 +49,10 @@ from .poly import (
 )
 from .semigroups import (
     CheckResult,
-    ConvolutionCheck,
     VarianceParams,
     dilate,
     euler_d,
     heat,
-    heat_convolution_oracle,
     hermite,
     hermite_expand,
     hermite_semigroup,
@@ -59,6 +60,7 @@ from .semigroups import (
     laplacian,
     nonclosability_example,
     number_op,
+    variance_of,
     verify_commutator,
     verify_ident2,
     verify_nested_commutator,

@@ -17,19 +17,19 @@ import re
 import sys
 from fractions import Fraction
 
-from .gaussian import LP_QUADRATURE_NODES, MC_KEY, inner_product, lp_norm, variance_of
+from .gaussian import (CONVOLUTION_TOL, LP_QUADRATURE_NODES, MC_KEY, heat_convolution_oracle,
+                       inner_product, lp_norm)
 from .matrixrep import BCH_TOL, bch_check, graded_basis
 from .poly import MultiIndex, Polynomial, abbreviate, as_fraction, parse, serialize
 from .semigroups import (
-    CONVOLUTION_TOL,
     IDENT_FLOAT_TOL,
     VarianceParams,
     heat,
-    heat_convolution_oracle,
     hermite,
     l2_contraction_ratio,
     laplacian,
     nonclosability_example,
+    variance_of,
     verify_commutator,
     verify_ident2,
     verify_nested_commutator,
@@ -41,6 +41,8 @@ _EXIT_BY_VERDICT = {"pass": 0, "inconclusive": 0, "fail": 1}
 _DEMO_T = Fraction(1, 2)
 #: Largest nonclosability-demo --n: the self inner product of f_n costs n^2 term pairs.
 _DEMO_N_CAP = 1000
+#: Largest --degree-cap: an even-exponent scan's time grows about as its cube.
+_DEGREE_CAP_MAX = 64
 
 
 def _rat(x) -> str:
@@ -456,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=_gt1_rational_arg, required=True)
         p.add_argument("--s", type=_positive_rational_arg, required=True)
         p.add_argument("--lambda", dest="lam", type=_positive_rational_arg, required=True)
-        p.add_argument("--degree-cap", type=_int_at_least(0), default=6)
+        p.add_argument("--degree-cap", type=_arg(_int_at_least(0), lambda v: v <= _DEGREE_CAP_MAX,
+                                                 f"must be at most {_DEGREE_CAP_MAX}"), default=6)
         p.add_argument("--epsilon-grid", type=_grid_arg,
                        default=(Fraction(1, 2), Fraction(1, 10)))
 

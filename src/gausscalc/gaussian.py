@@ -5,9 +5,9 @@ integrand) depends on finitely many coordinates, and each coordinate is
 an independent N(0, s) variable.  Exact rational moments and inner
 products come from the even-moment formula, and so does the L^p norm
 for even integer p, where |f|^p = f^p is a polynomial.  Other L^p norms
-come from tensor Gauss-Hermite quadrature with a Monte Carlo
-cross-check.  Neither oracle takes a setting: the node count and the
-generator's key are the constants below.
+come from tensor Gauss-Hermite quadrature with a Monte Carlo cross-check, and
+heat_convolution_oracle checks semigroups.heat against the heat kernel by the
+same quadrature.  No oracle takes a setting: its constants are below.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import MultiIndex, Polynomial, abbreviate, as_fraction
+from .semigroups import heat, variance_of
 
 #: Hard ceiling on total tensor-product quadrature nodes per integral.
 NODE_CAP = 10**8
@@ -35,13 +36,8 @@ MC_KEY = 0
 #: Gauss-Hermite nodes per variable of a non-even L^p norm.
 LP_QUADRATURE_NODES = 401
 
-
-def variance_of(s) -> Fraction:
-    """Normalize a Fraction, int, or rational string to a Fraction > 0."""
-    value = as_fraction(s)
-    if value <= 0:
-        raise ValueError(f"variance must be positive, got {abbreviate(value)}")
-    return value
+#: Relative discrepancy a heat_convolution_oracle result may show and pass.
+CONVOLUTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -223,10 +219,10 @@ def gauss_hermite_rule(n: int):
 def expectation_quadrature(integrand, variables, s, nodes_per_var: int) -> float:
     """E_{mu_s}[integrand] by tensor Gauss-Hermite over the given variables.
 
-    ``integrand`` maps {variable index: ndarray} to an ndarray and must
-    broadcast (polynomial evaluate does).  Rejects requests whose total
-    node count exceeds NODE_CAP.  Summation order is fixed, so results
-    are bit-identical across runs.
+    ``integrand`` maps {variable index: ndarray} to an ndarray and must broadcast
+    (polynomial evaluate does).  Rejects more than NODE_CAP nodes in all.  Summation
+    order is fixed, so results are bit-identical across runs.  Overflow in the
+    integrand or the sums leaves the result non-finite and raises no numpy warning.
     """
     s = variance_of(s)
     variables = sorted(set(variables))
@@ -252,17 +248,18 @@ def expectation_quadrature(integrand, variables, s, nodes_per_var: int) -> float
     }
     subscripts = []
     acc = 0.0
-    for start in range(0, nodes_per_var, block):
-        lead = x[start : start + block]
-        point = dict(tail_point)
-        point[variables[0]] = lead.reshape((-1,) + (1,) * (v - 1))
-        values = np.asarray(integrand(point), dtype=float)
-        values = np.broadcast_to(values, (len(lead),) + rest_shape)
-        args = [values, list(range(v)), w[start : start + block], [0]]
-        for k in range(1, v):
-            args.extend([w, [k]])
-        args.append(subscripts)
-        acc += float(np.einsum(*args))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, nodes_per_var, block):
+            lead = x[start : start + block]
+            point = dict(tail_point)
+            point[variables[0]] = lead.reshape((-1,) + (1,) * (v - 1))
+            values = np.asarray(integrand(point), dtype=float)
+            values = np.broadcast_to(values, (len(lead),) + rest_shape)
+            args = [values, list(range(v)), w[start : start + block], [0]]
+            for k in range(1, v):
+                args.extend([w, [k]])
+            args.append(subscripts)
+            acc += float(np.einsum(*args))
     return acc
 
 
@@ -369,8 +366,7 @@ def lp_norm(f: Polynomial, p, s) -> LpEstimate:
     variables = f.active_variables
 
     def integrand(point):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.abs(f.evaluate(point)) ** p
+        return np.abs(f.evaluate(point)) ** p
 
     try:
         mean = expectation_quadrature(integrand, variables, s, LP_QUADRATURE_NODES)
@@ -390,3 +386,51 @@ def lp_norm(f: Polynomial, p, s) -> LpEstimate:
         cross_check=mc_mean ** (1.0 / p),
         cross_check_samples=MC_DEFAULT_SAMPLES,
     )
+
+
+@dataclass(frozen=True)
+class ConvolutionCheck:
+    """Quadrature convolution vs algebraic heat at one evaluation point."""
+
+    numeric_value: float
+    algebraic_value: float
+    abs_discrepancy: float
+    rel_discrepancy: float  # absolute discrepancy over max(1, |algebraic|)
+    nodes: int  # quadrature nodes per variable
+
+
+def heat_convolution_oracle(f: Polynomial, t, x) -> ConvolutionCheck:
+    """Compare E[f(x + z)], z ~ N(0, t I), against heat(f, t) evaluated at x.
+
+    The expectation runs over the active variables of f by tensor
+    Gauss-Hermite with deg f // 2 + 5 points per variable (the result
+    reports it); deg f // 2 + 1 already integrate f exactly, so the
+    margin moves only rounding.  A rel_discrepancy within CONVOLUTION_TOL
+    passes.  This is the measure-level route to the heat operator,
+    independent of the series.
+    """
+    t = as_fraction(t)
+    if t <= 0:
+        raise ValueError(f"need t > 0, got {abbreviate(t)}")
+    x = {int(k): v for k, v in dict(x or {}).items()}
+    variables = f.active_variables
+    degree = 0 if f.is_zero else int(max(f.degree, 0))
+    nodes = degree // 2 + 5
+
+    def integrand(point):
+        return f.evaluate({v: shift[v] + point[v] for v in variables})
+
+    not_finite = (
+        f"heat convolution not finite in floating point at t = {abbreviate(t)}, deg f = {degree}"
+    )
+    try:
+        shift = {v: float(x.get(v, 0)) for v in variables}
+        numeric = expectation_quadrature(integrand, variables, t, nodes)
+        algebraic = float(heat(f, t).evaluate(x))
+    except OverflowError:
+        raise ValueError(not_finite) from None
+    abs_disc = abs(numeric - algebraic)
+    if not math.isfinite(abs_disc):
+        raise ValueError(not_finite)
+    rel_disc = abs_disc / max(1.0, abs(algebraic))
+    return ConvolutionCheck(numeric, algebraic, abs_disc, rel_disc, nodes)

@@ -6,8 +6,8 @@ map into itself.  On the degree-ascending monomial basis the Euler
 operator D is diagonal and the Laplacian is strictly upper triangular
 (it only lowers degree), so its exponential is a terminating Taylor sum.
 So is e^{-tau N_s} = lam^{N_s} with N_s = D - s*Laplacian, as a binomial
-series: N_s has the integer eigenvalues 0..k on the span of a degree-k
-monomial.  Both run in exact rationals.
+series: on the span of a degree-k monomial N_s has the integer eigenvalues
+k, k-2, ..., k mod 2.  Both run in exact rationals.
 
 Convention: column j of a matrix holds the coefficients of the operator
 applied to basis monomial j, so composition is matrix product and
@@ -248,41 +248,44 @@ def expm(matrix, mode: str = "float"):
 def _number_power(lap: OperatorMatrix, s: Fraction, lam: Fraction) -> OperatorMatrix:
     """lam^{N_s}, N_s = D - s*Laplacian, by its terminating binomial series.
 
-    lam^{N_s} e_j = sum_{r<=k} (lam-1)^r binom(N_s, r) e_j for e_j of degree
-    k (Newton's form of lam^x at the nodes 0..k).  With s = a/b, lam = p/q,
-    u_0 = e_j and the integer vectors u_r = (b(D - r + 1) - a*Laplacian) u_{r-1},
-    term r is (p-q)^r u_r over (bq)^r r!, summed over (bq)^k k!.  u_{k+1} = 0
-    proves the formula applies, so a nonzero one raises ValueError.
+    From e_j of degree k = 2K + c, c = k mod 2, N_s has the eigenvalues k, k-2, ..., c,
+    so lam^{N_s} e_j = lam^c sum_{r<=K} (lam^2-1)^r binom((N_s-c)/2, r) e_j (Newton's
+    form of lam^x at those nodes).  With s = a/b, lam = p/q, u_0 = e_j and the integer
+    vectors u_r = (b(D - c - 2r + 2) - a*Laplacian) u_{r-1}, term r is (p^2-q^2)^r u_r
+    over (2bq^2)^r r!, summed over (2bq^2)^K K! and times lam^c.  u_{K+1} = 0 proves
+    the formula applies, so a nonzero one raises ValueError.
     """
     a, b = s.numerator, s.denominator
-    step = lam.numerator - lam.denominator
-    bq = b * lam.denominator
+    p, q = lam.numerator, lam.denominator
+    step = p * p - q * q
+    scale = 2 * b * q * q
     monomials = lap.basis.monomials
     b_deg = [b * alpha.degree for alpha in monomials]
     a_lap = [{i: a * int(x) for i, x in col.items()} for col in lap.columns]
     columns = []
-    for j, top in enumerate(alpha.degree for alpha in monomials):
-        den = weight = bq**top * math.factorial(top)
+    for j, alpha in enumerate(monomials):
+        half, c = divmod(alpha.degree, 2)
+        den = weight = scale**half * math.factorial(half)
         acc = {j: weight}
         u = {j: 1}
-        for r in range(1, top + 2):
-            shift = b * (r - 1)
+        for r in range(1, half + 2):
+            shift = b * (c + 2 * r - 2)
             nxt = {i: (b_deg[i] - shift) * x for i, x in u.items()}
             for i, x in u.items():
                 for k, y in a_lap[i].items():
                     nxt[k] = nxt.get(k, 0) - y * x
             u = {i: x for i, x in nxt.items() if x}
-            if r > top:
+            if r > half:
                 break
-            weight = weight * step // (bq * r)
+            weight = weight * step // (scale * r)
             for i, x in u.items():
                 acc[i] = acc.get(i, 0) + x * weight
         if u:
             raise ValueError(
-                f"the binomial series of lambda^N_s does not end by term {top + 1} "
-                f"at {monomials[j]}"
+                f"the binomial series of lambda^N_s does not end by term {half + 1} "
+                f"at {alpha}"
             )
-        columns.append({i: Fraction(x, den) for i, x in acc.items() if x})
+        columns.append({i: Fraction(x * p**c, den * q**c) for i, x in acc.items() if x})
     return OperatorMatrix(lap.basis, tuple(columns))
 
 

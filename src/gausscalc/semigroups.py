@@ -21,6 +21,7 @@ lam^{|alpha|}, exactly, polynomial by polynomial.
 heat, dilate and hermite_semigroup run on an integer form (int coefficients
 over one common denominator) and build Fractions once, at the end.  Exact
 checks compare the two sides before they build the witness lhs - rhs.
+It imports only `poly`; the convolution oracle for heat lives in `gaussian`.
 """
 
 from __future__ import annotations
@@ -29,17 +30,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .gaussian import expectation_quadrature, variance_of
 from .poly import MultiIndex, Polynomial, abbreviate, as_fraction
 
 _F0 = Fraction(0)
 
 #: Relative tolerance of verify_ident2's float mode.
 IDENT_FLOAT_TOL = 1e-12
-#: Relative discrepancy a heat_convolution_oracle result may show and pass.
-CONVOLUTION_TOL = 1e-10
 
 
 # -- first-order building blocks -------------------------------------------
@@ -197,6 +193,14 @@ def hermite_semigroup(f: Polynomial, s, lam) -> Polynomial:
 # -- the (s, t, lambda, tau) bookkeeping ------------------------------------
 
 
+def variance_of(s) -> Fraction:
+    """Normalize a Fraction, int, or rational string to a Fraction > 0."""
+    value = as_fraction(s)
+    if value <= 0:
+        raise ValueError(f"variance must be positive, got {abbreviate(value)}")
+    return value
+
+
 def _rational_sqrt(q: Fraction):
     """Exact square root of a nonnegative rational, or None."""
     if q < 0:
@@ -351,7 +355,7 @@ def verify_nested_commutator(f: Polynomial) -> CheckResult:
     return _compare(laplacian(_bracket(f)) - _bracket(laplacian(f)), Polynomial.zero())
 
 
-# -- contraction bookkeeping and the numeric oracle --------------------------
+# -- contraction bookkeeping and the nonclosability example ------------------
 
 
 def _weighted_norm_squared(coeffs: Polynomial, v: Fraction) -> Fraction:
@@ -376,55 +380,6 @@ def l2_contraction_ratio(f: Polynomial, s, t) -> Fraction:
         raise ValueError("the ratio is undefined for the zero polynomial")
     coeffs = hermite_expand(f, s)
     return _weighted_norm_squared(coeffs, s - t) / _weighted_norm_squared(coeffs, s)
-
-
-@dataclass(frozen=True)
-class ConvolutionCheck:
-    """Quadrature convolution vs algebraic heat at one evaluation point."""
-
-    numeric_value: float
-    algebraic_value: float
-    abs_discrepancy: float
-    rel_discrepancy: float  # absolute discrepancy over max(1, |algebraic|)
-    nodes: int  # quadrature nodes per variable
-
-
-def heat_convolution_oracle(f: Polynomial, t, x) -> ConvolutionCheck:
-    """Compare E[f(x + z)], z ~ N(0, t I), against heat(f, t) evaluated at x.
-
-    The expectation runs over the active variables of f by tensor
-    Gauss-Hermite with deg f // 2 + 5 points per variable (the result
-    reports it); deg f // 2 + 1 already integrate f exactly, so the
-    margin moves only rounding.  A rel_discrepancy within CONVOLUTION_TOL
-    passes.  This is the measure-level route to the heat operator,
-    independent of the series.
-    """
-    t = as_fraction(t)
-    if t <= 0:
-        raise ValueError(f"need t > 0, got {abbreviate(t)}")
-    x = {int(k): v for k, v in dict(x or {}).items()}
-    variables = f.active_variables
-    degree = 0 if f.is_zero else int(max(f.degree, 0))
-    nodes = degree // 2 + 5
-
-    def integrand(point):
-        return f.evaluate({v: shift[v] + point[v] for v in variables})
-
-    not_finite = (
-        f"heat convolution not finite in floating point at t = {abbreviate(t)}, deg f = {degree}"
-    )
-    try:
-        shift = {v: float(x.get(v, 0)) for v in variables}
-        with np.errstate(over="ignore", invalid="ignore"):
-            numeric = expectation_quadrature(integrand, variables, t, nodes)
-        algebraic = float(heat(f, t).evaluate(x))
-    except OverflowError:
-        raise ValueError(not_finite) from None
-    abs_disc = abs(numeric - algebraic)
-    if not math.isfinite(abs_disc):
-        raise ValueError(not_finite)
-    rel_disc = abs_disc / max(1.0, abs(algebraic))
-    return ConvolutionCheck(numeric, algebraic, abs_disc, rel_disc, nodes)
 
 
 def nonclosability_example(n: int, s) -> Polynomial:

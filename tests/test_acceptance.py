@@ -14,12 +14,11 @@ import pytest
 
 import helpers
 from gausscalc.cli import main
-from gausscalc.gaussian import inner_product, lp_norm
+from gausscalc.gaussian import heat_convolution_oracle, inner_product, lp_norm
 from gausscalc.matrixrep import bch_check, graded_basis
 from gausscalc.poly import Polynomial, parse
 from gausscalc.semigroups import (
     heat,
-    heat_convolution_oracle,
     hermite,
     l2_contraction_ratio,
     laplacian,

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import gausscalc.gaussian
 import gausscalc.matrixrep
 import gausscalc.semigroups
 from gausscalc.cli import _DEMO_T, main
@@ -149,7 +150,7 @@ class TestBchCheck:
      gausscalc.semigroups, "IDENT_FLOAT_TOL"),
     (("bch-check", "--m", "1", "--n", "2", "--s", "4", "--lambda", "1/2"),
      gausscalc.matrixrep, "BCH_TOL"),
-    (("convolution-check", "--f", "x1^2", "--t", "1"), gausscalc.semigroups, "CONVOLUTION_TOL"),
+    (("convolution-check", "--f", "x1^2", "--t", "1"), gausscalc.gaussian, "CONVOLUTION_TOL"),
 ])
 def test_reported_tol_is_the_constant_the_verdict_used(capsys, argv, module, constant):
     # The benchmark masks floats, so only a test sees the printed tol drift.
@@ -381,8 +382,8 @@ class TestConvolutionCheck:
         assert record["rel_discrepancy"] <= 1e-10
 
     def test_a_perturbed_series_exits_one(self, capsys, monkeypatch):
-        real = gausscalc.semigroups.heat
-        monkeypatch.setattr(gausscalc.semigroups, "heat",
+        real = gausscalc.gaussian.heat
+        monkeypatch.setattr(gausscalc.gaussian, "heat",
                             lambda f, t: real(f, t) + Fraction(1, 10**9))
         code, report, err = run_cli(capsys, "convolution-check", "--f", "x1^2", "--t", "1")
         assert code == 1
@@ -464,6 +465,7 @@ class TestStrictIntegers:
         (("nonclosability-demo", "--s", "1", "--n", "0"), "at least 1, got 0"),
         (SCAN + ("--degree-cap=-2",), "at least 0, got -2"),
         (("nonclosability-demo", "--s", "1", "--n", "1001"), "at most 1000, got 1001"),
+        (SCAN + ("--degree-cap", "65"), "at most 64, got 65"),
     ])
     def test_out_of_range_integers_name_the_bound(self, capsys, argv, message):
         code = main(list(argv))

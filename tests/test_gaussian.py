@@ -19,10 +19,9 @@ from gausscalc.gaussian import (
     gaussian_moment,
     inner_product,
     lp_norm,
-    variance_of,
 )
 from gausscalc.poly import MultiIndex, Polynomial, parse
-from gausscalc.semigroups import heat, hermite
+from gausscalc.semigroups import heat, hermite, variance_of
 
 
 class TestVariance:

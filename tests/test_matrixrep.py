@@ -405,18 +405,24 @@ class TestNumberPower:
     """lam^{N_s} by the terminating binomial series."""
 
     def test_by_hand_on_one_variable(self):
-        # N_s x1^2 = 2 x1^2 - 2s, so lam^{N_s} x1^2 = lam^2 x1^2 + s(1 - lam^2).
+        # N_s x1^2 = 2 x1^2 - 2s, so lam^{N_s} x1^2 = lam^2 x1^2 + s(1 - lam^2);
+        # the others expand x1^k in the h_{k,s} and decay each by lam^k.
         s, lam = F(3, 2), F(2, 5)
-        power = _number_power(laplacian_matrix(graded_basis(1, 3)), s, lam)
-        assert power.columns == ({0: F(1)}, {1: lam}, {2: lam**2, 0: s * (1 - lam**2)},
-                                 {3: lam**3, 1: 3 * s * (lam - lam**3)})
+        power = _number_power(laplacian_matrix(graded_basis(1, 5)), s, lam)
+        assert power.columns == (
+            {0: F(1)}, {1: lam}, {2: lam**2, 0: s * (1 - lam**2)},
+            {3: lam**3, 1: 3 * s * (lam - lam**3)},
+            {4: lam**4, 2: 6 * s * (lam**2 - lam**4), 0: 3 * s**2 * (1 - lam**2) ** 2},
+            {5: lam**5, 3: 10 * s * (lam**3 - lam**5), 1: 15 * s**2 * lam * (1 - lam**2) ** 2},
+        )
 
     def test_a_series_that_does_not_end_is_refused(self):
         # A diagonal entry -1 in the "Laplacian" moves the eigenvalue of N_1
-        # on x1^2 from 2 to 3, outside 0..2, so binom(N_1, 3) x1^2 is not zero.
+        # on x1^2 from 2 to 3, outside {0, 2}, so term 2 of the series in
+        # (N_1)/2 is not zero.
         basis = graded_basis(1, 2)
         bad = OperatorMatrix(basis, ({}, {}, {0: F(2), 2: F(-1)}))
-        with pytest.raises(ValueError, match=r"does not end by term 3 at x1\^2"):
+        with pytest.raises(ValueError, match=r"does not end by term 2 at x1\^2"):
             _number_power(bad, F(1), F(1, 2))
 
 

@@ -44,6 +44,28 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_the_exact_core_imports_no_float_layer():
+    # poly and semigroups are the rational core: numpy and the modules that
+    # build on the core (gaussian, matrixrep, cli) stay out of them, and
+    # only the float layers, gaussian and matrixrep, import numpy.
+    found = []
+    for path in sorted(Path(gausscalc.__file__).parent.glob("*.py")):
+        banned = set() if path.name in ("gaussian.py", "matrixrep.py") else {"numpy"}
+        if path.name in ("poly.py", "semigroups.py"):
+            banned |= {"gaussian", "matrixrep", "cli"}
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [alias.name for alias in node.names
+                                                 if not node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {module}" for module in modules
+                      if banned & set(module.split("."))]
+    assert found == []
+
+
 def test_every_private_module_name_is_used_in_the_package():
     # A module-level _helper that nothing in src/ refers to, beyond its own
     # definition (recursion included), is dead code.

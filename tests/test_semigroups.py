@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 import gausscalc.semigroups
 import helpers
-from gausscalc.gaussian import inner_product
+from gausscalc.gaussian import heat_convolution_oracle, inner_product
 from gausscalc.poly import MultiIndex, Polynomial, parse
 from gausscalc.semigroups import (
     IDENT_FLOAT_TOL,
@@ -18,7 +18,6 @@ from gausscalc.semigroups import (
     dilate,
     euler_d,
     heat,
-    heat_convolution_oracle,
     hermite,
     hermite_expand,
     hermite_semigroup,
